@@ -124,6 +124,13 @@ def load_config(path: str) -> dict:
     return config
 
 
+def _as_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be an integer, got {value!r}") from None
+
+
 def build_structure(config: dict):
     spec = config.get("structure")
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -131,13 +138,15 @@ def build_structure(config: dict):
     kind = spec["kind"]
     try:
         if kind == "top_k":
-            return structures.TopK(int(spec["d"]), int(spec["k"]))
+            return structures.TopK(
+                _as_int(spec["d"], "structure.d"), _as_int(spec["k"], "structure.k")
+            )
         if kind == "argsort":
-            return structures.Argsort(int(spec["d"]))
+            return structures.Argsort(_as_int(spec["d"], "structure.d"))
         if kind == "matching":
-            return structures.Matching(int(spec["n"]))
+            return structures.Matching(_as_int(spec["n"], "structure.n"))
         if kind == "binary_tree":
-            return structures.BinaryTree(int(spec["n"]))
+            return structures.BinaryTree(_as_int(spec["n"], "structure.n"))
         if kind == "spanning_tree":
             directed, nv, edges, _root = parse_graph_file(spec["graph"])
             if directed:
@@ -148,7 +157,7 @@ def build_structure(config: dict):
             if not directed:
                 raise ConfigError("arborescence needs a directed graph")
             if "root" in spec:
-                root = int(spec["root"])
+                root = _as_int(spec["root"], "structure.root")
             if root is None:
                 raise ConfigError("arborescence needs a root (file or config)")
             return structures.Arborescence(range(nv), edges, root)
@@ -254,12 +263,9 @@ def decode_target(config: dict, sdef):
 def resolve_max_traces(config: dict) -> int:
     env = os.environ.get(MAX_TRACES_ENV)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{MAX_TRACES_ENV} is not an integer: {env!r}")
+        return _as_int(env, MAX_TRACES_ENV)
     if "max_traces" in config and config["max_traces"] is not None:
-        return int(config["max_traces"])
+        return _as_int(config["max_traces"], "max_traces")
     return oracle.DEFAULT_MAX_TRACES
 
 
@@ -519,6 +525,11 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
     if not check:
         raise ConfigError(f"fit.target is not a valid structure: {check.reason}")
     loss = lambda x: float(structures.hamming_distance(x, target))  # noqa: E731
+    track_samples = _as_int(
+        config.get("fit", {}).get("track_samples", 32), "fit.track_samples"
+    )
+    if track_samples < 2:
+        raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
 
     opt_spec = config.get("optimizer", {})
     iterations = int(opt_spec.get("iterations", 1000))
@@ -542,7 +553,6 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
         per_trace_losses = np.array([loss(e.structure) for e in dist.entries])
     except InstanceTooLargeError:
         track_rng = np.random.default_rng(track_ss)
-        track_samples = int(config.get("fit", {}).get("track_samples", 32))
 
     work_children = work_ss.spawn(iterations)
 

@@ -18,6 +18,10 @@ This module implements, over any such definition:
   build record from which vector-Jacobian products and frozen-noise
   replays are cheap.
 
+A trace returned by ``run_struct`` carries its walk of the recursion, so
+the others score or resample it under the same definition without walking
+again; a trace built any other way is validated by walking as it dictates.
+
 Winners are removed from play by marking their rate infinite (tracked as a
 mask, never as a floating +inf): their residual utility is the constant 0,
 so any later comparison they take part in is deterministic.
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,9 +101,13 @@ class StructureDefinition(ABC):
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-level (partition_index, winner_key) pairs, in recursion order."""
+    """Per-level (partition_index, winner_key) pairs, in recursion order.
+
+    ``run_struct`` also stores its walk here, outside equality and hashing.
+    """
 
     levels: tuple
+    _walk: Optional["_Walk"] = field(default=None, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -156,19 +164,14 @@ def run_struct(sdef: StructureDefinition, utilities):
     Each level takes the argmin of every partition (ties broken toward the
     lowest key, an event of probability zero under continuous noise),
     subtracts the minimum from the partition, and recurses on the key set
-    chosen by ``map``.  The loop is iterative: the recursion is a chain, so
-    frames are stacked and ``combine`` folds them back in reverse.
+    chosen by ``map``.  The returned trace carries this walk, so scoring or
+    resampling it under the same ``sdef`` does not walk the recursion again.
     """
     e = _utility_values(sdef, utilities)
-    K, R = sdef.initial_state()
-    frames = []
-    levels = []
-    while not sdef.stop(K, R):
-        parts = sdef.split(K, R)
-        _check_partition(parts, K)
+
+    def argmins(parts):
         winners = []
-        level = []
-        for i, P in enumerate(parts):
+        for P in parts:
             best = P[0]
             best_val = e[best]
             for k in P:
@@ -179,62 +182,80 @@ def run_struct(sdef: StructureDefinition, utilities):
             for k in P:
                 e[k] -= best_val
             winners.append(best)
-            level.append((i, best))
-        K_next, R_next = sdef.map(K, R, winners)
-        _check_shrink(K_next, K)
-        frames.append((K, R, winners))
-        levels.append(tuple(level))
-        K, R = K_next, R_next
-    value = None
-    for K, R, winners in reversed(frames):
-        value = sdef.combine(value, K, R, winners)
-    return sdef.finish(value), Trace(tuple(levels))
+        return winners
+
+    walk = _walk_recursion(sdef, argmins)
+    trace = Trace(tuple(tuple(enumerate(w)) for _K, _R, _parts, w in walk.frames))
+    object.__setattr__(trace, "_walk", walk)
+    return _fold(walk), trace
 
 
 def value_from_trace(sdef: StructureDefinition, trace: Trace):
     """Rebuild the structure value a trace determines, without utilities."""
-    frames, _K, _R = _replay(sdef, trace)
-    value = None
-    for K, R, _parts, winners in reversed(frames):
-        value = sdef.combine(value, K, R, winners)
-    return sdef.finish(value)
+    return _fold(_walk_of(sdef, trace))
 
 
-def _replay(sdef: StructureDefinition, trace: Trace):
-    """Walk the recursion as dictated by a trace, validating feasibility.
+class _Walk(NamedTuple):
+    """A (K, R, parts, winners) frame per level, and the final (K, R)."""
 
-    Returns (frames, K_final, R_final) with one (K, R, parts, winners)
-    frame per level; raises InvalidTraceError when the trace disagrees with
-    the control flow (wrong level count, wrong partition index, winner
-    outside its partition).
+    sdef: StructureDefinition
+    frames: list
+    K: frozenset
+    R: object
+
+
+def _walk_recursion(sdef: StructureDefinition, choose) -> _Walk:
+    """Walk the recursion, taking each level's winners from ``choose(parts)``.
+
+    The recursion is a chain, so the loop is iterative and ``_fold`` folds
+    the stacked frames back with ``combine`` in reverse.
     """
     K, R = sdef.initial_state()
     frames = []
-    for level in trace.levels:
-        if sdef.stop(K, R):
-            raise InvalidTraceError("trace is longer than the recursion")
+    while not sdef.stop(K, R):
         parts = sdef.split(K, R)
         _check_partition(parts, K)
+        winners = choose(parts)
+        K_next, R_next = sdef.map(K, R, winners)
+        _check_shrink(K_next, K)
+        frames.append((K, R, parts, winners))
+        K, R = K_next, R_next
+    return _Walk(sdef, frames, K, R)
+
+
+def _fold(walk: _Walk):
+    value = None
+    for K, R, _parts, winners in reversed(walk.frames):
+        value = walk.sdef.combine(value, K, R, winners)
+    return walk.sdef.finish(value)
+
+
+def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
+    """The walk ``run_struct`` stored in ``trace`` for this very ``sdef``
+    object; otherwise a walk as the trace dictates, raising InvalidTraceError
+    where it disagrees with the control flow."""
+    walk = trace._walk
+    if walk is not None and walk.sdef is sdef:
+        return walk
+    levels = iter(trace.levels)
+
+    def recorded(parts):
+        level = next(levels, None)
+        if level is None:
+            raise InvalidTraceError("trace is shorter than the recursion")
         if len(level) != len(parts):
             raise InvalidTraceError(
                 f"level has {len(level)} events, split produced {len(parts)} partitions"
             )
-        winners = []
         for i, (pi, w) in enumerate(level):
-            if pi != i:
-                raise InvalidTraceError(f"event {i} recorded partition index {pi}")
-            if w not in parts[i]:
-                raise InvalidTraceError(
-                    f"winner {w} is not in its partition at level {len(frames)}"
-                )
-            winners.append(w)
-        frames.append((K, R, parts, winners))
-        K_next, R_next = sdef.map(K, R, winners)
-        _check_shrink(K_next, K)
-        K, R = K_next, R_next
-    if not sdef.stop(K, R):
-        raise InvalidTraceError("trace is shorter than the recursion")
-    return frames, K, R
+            if pi != i or w not in parts[i]:
+                raise InvalidTraceError(f"event ({pi}, {w}) not in partition {i}")
+        return [w for _pi, w in level]
+
+    walk = _walk_recursion(sdef, recorded)
+    if len(walk.frames) != len(trace.levels):
+        raise InvalidTraceError("trace is longer than the recursion")
+    return walk
 
 
 def _check_theta(sdef: StructureDefinition, theta: ThetaVector) -> None:
@@ -242,13 +263,24 @@ def _check_theta(sdef: StructureDefinition, theta: ThetaVector) -> None:
         raise InvalidArgumentError("theta keys do not match the definition")
 
 
-def _masked_in(partition, mask) -> list:
-    found = [k for k in partition if mask[k]]
-    if len(found) > 1:
-        raise StructureDefinitionError(
-            "two deterministic keys share a partition"
-        )
-    return found
+def _stochastic_events(walk: _Walk, mask: list):
+    """Yield the walk's stochastic events as (partition, winner), in order.
+
+    ``mask`` holds one flag per key, true once the key is out of play; it
+    is updated in place as keys win.  An event whose partition already
+    holds a masked key is deterministic: it yields nothing when that key
+    wins and raises InvalidTraceError (probability zero) when another does.
+    """
+    for _K, _R, parts, winners in walk.frames:
+        for P, w in zip(parts, winners):
+            masked = [k for k in P if mask[k]]
+            if len(masked) > 1:
+                raise StructureDefinitionError("two deterministic keys share a partition")
+            if not masked:
+                yield P, w
+            elif masked[0] != w:
+                raise InvalidTraceError("trace has probability zero under this theta")
+            mask[w] = True
 
 
 def _logsumexp_over(neg_theta, partition) -> float:
@@ -273,19 +305,14 @@ def trace_log_prob(sdef: StructureDefinition, trace: Trace, theta: ThetaVector) 
     ~50 stay well inside float64 range.
     """
     _check_theta(sdef, theta)
-    mask = theta.mask.copy()
+    walk = _walk_of(sdef, trace)
     neg_theta = (-theta.theta).tolist()
     lp = 0.0
-    frames, _K, _R = _replay(sdef, trace)
-    for _K_level, _R_level, parts, winners in frames:
-        for P, w in zip(parts, winners):
-            masked = _masked_in(P, mask)
-            if masked:
-                if masked[0] != w:
-                    return -math.inf
-            else:
-                lp += neg_theta[w] - _logsumexp_over(neg_theta, P)
-            mask[w] = True
+    try:
+        for P, w in _stochastic_events(walk, theta.mask.tolist()):
+            lp += neg_theta[w] - _logsumexp_over(neg_theta, P)
+    except InvalidTraceError:
+        return -math.inf
     return lp
 
 
@@ -297,24 +324,14 @@ def trace_score(sdef: StructureDefinition, trace: Trace, theta: ThetaVector) -> 
     events contribute nothing, so masked coordinates stay exactly 0.
     """
     _check_theta(sdef, theta)
-    mask = theta.mask.copy()
+    walk = _walk_of(sdef, trace)
     neg_theta = (-theta.theta).tolist()
-    grad = np.zeros(sdef.n_keys)
-    frames, _K, _R = _replay(sdef, trace)
-    for _K_level, _R_level, parts, winners in frames:
-        for P, w in zip(parts, winners):
-            masked = _masked_in(P, mask)
-            if masked:
-                if masked[0] != w:
-                    raise InvalidTraceError(
-                        "trace has probability zero under this theta"
-                    )
-            else:
-                lse = _logsumexp_over(neg_theta, P)
-                for k in P:
-                    grad[k] += math.exp(neg_theta[k] - lse)
-                grad[w] -= 1.0
-            mask[w] = True
+    grad = [0.0] * sdef.n_keys
+    for P, w in _stochastic_events(walk, theta.mask.tolist()):
+        lse = _logsumexp_over(neg_theta, P)
+        for k in P:
+            grad[k] += math.exp(neg_theta[k] - lse)
+        grad[w] -= 1.0
     return GradientVector(theta.keys, grad)
 
 
@@ -333,12 +350,6 @@ class CondBuildRecord:
     key_labels: tuple
     events: tuple  # of (winner: int, noise: float, keys: tuple[int, ...])
     tail: tuple    # of (key: int, noise: float)
-
-    def utility_terms(self, key: int):
-        """The (noise, keys) sums and residual noise composing one utility."""
-        sums = [(eps, keys) for _, eps, keys in self.events if key in keys]
-        resid = [eps for k, eps in self.tail if k == key]
-        return sums, (resid[0] if resid else None)
 
 
 def _accumulate(record: CondBuildRecord, rates: np.ndarray, n: int) -> np.ndarray:
@@ -381,32 +392,21 @@ def cond_sample(sdef: StructureDefinition, trace: Trace, theta: ThetaVector, rng
     """
     _check_theta(sdef, theta)
     rng = as_generator(rng)
-    mask = theta.mask.copy()
-    events = []
-    frames, K_final, _R_final = _replay(sdef, trace)
-    for _K, _R, parts, winners in frames:
-        for P, w in zip(parts, winners):
-            masked = _masked_in(P, mask)
-            if masked:
-                if masked[0] != w:
-                    raise InvalidTraceError(
-                        "trace has probability zero under this theta"
-                    )
-            else:
-                events.append((w, float(unit_exponential(rng)), tuple(P)))
-            mask[w] = True
+    walk = _walk_of(sdef, trace)
+    mask = theta.mask.tolist()
+    events = [
+        (w, float(unit_exponential(rng)), tuple(P))
+        for P, w in _stochastic_events(walk, mask)
+    ]
     # Residual draws, in the order the recursion would make them: keys that
     # survive to the stop first, then the keys dropped at each level,
     # deepest level first.  Keys masked by then get an exact 0 (no draw).
-    drop_sets = [sorted(K_final)]
-    key_sets = [K for K, _R, _parts, _winners in frames] + [K_final]
-    for j in range(len(frames) - 1, -1, -1):
-        drop_sets.append(sorted(key_sets[j] - key_sets[j + 1]))
-    tail = []
-    for keys in drop_sets:
-        for k in keys:
-            if not mask[k]:
-                tail.append((k, float(unit_exponential(rng))))
+    key_sets = [walk.K] + [K for K, _R, _parts, _winners in reversed(walk.frames)]
+    drops = [walk.K] + [K - K_deeper for K_deeper, K in zip(key_sets, key_sets[1:])]
+    tail = [
+        (k, float(unit_exponential(rng)))
+        for keys in drops for k in sorted(keys) if not mask[k]
+    ]
     record = CondBuildRecord(theta.keys, tuple(events), tuple(tail))
     values = _accumulate(record, np.exp(-theta.theta), sdef.n_keys)
     return Utilities(theta.keys, values), record

@@ -18,7 +18,13 @@ from typing import Callable, Mapping, Optional
 import numpy as np
 from scipy import stats
 
-from .core import StructureDefinition, Trace, trace_score
+from .core import (
+    StructureDefinition,
+    Trace,
+    _check_partition,
+    _check_shrink,
+    trace_score,
+)
 from .errors import (
     InstanceTooLargeError,
     InvalidArgumentError,
@@ -104,12 +110,13 @@ def enumerate_distribution(
             leaf(levels, frames, events, logp)
             return
         parts = sdef.split(K, R)
-        _check_parts(parts, K)
+        _check_partition(parts, K)
 
         def walk_partition(i, mask, logp, winners, level_events):
             if i == len(parts):
                 level = tuple((j, w) for j, w in enumerate(winners))
                 K_next, R_next = sdef.map(K, R, winners)
+                _check_shrink(K_next, K)
                 walk_level(
                     K_next,
                     R_next,
@@ -151,16 +158,6 @@ def enumerate_distribution(
     mask0 = {k: bool(theta.mask[k]) for k in range(sdef.n_keys)}
     walk_level(K0, R0, mask0, 0.0, [], [], [])
     return EnumeratedDistribution(sdef.key_labels, tuple(entries), marginals)
-
-
-def _check_parts(parts, K):
-    seen = set()
-    total = 0
-    for P in parts:
-        total += len(P)
-        seen.update(P)
-    if total != len(seen) or seen != K:
-        raise InvalidArgumentError("definition produced an invalid partition")
 
 
 def exact_gradient(

@@ -52,9 +52,6 @@ class KeyedVector:
     def __getitem__(self, key) -> float:
         return float(self.values[self.keys.index(key)])
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.keys, self.values.tolist()))
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k!r}: {v:.6g}" for k, v in zip(self.keys, self.values))
         return f"{type(self).__name__}({{{pairs}}})"
@@ -122,12 +119,6 @@ class ThetaVector:
     def replace(self, theta) -> "ThetaVector":
         """Same keys and mask, new theta values."""
         return ThetaVector(self.keys, theta, self.mask)
-
-    def unmasked_rates(self) -> np.ndarray:
-        """exp(-theta) with masked entries left at 0; never used as a rate."""
-        out = np.zeros(len(self.keys))
-        out[~self.mask] = np.exp(-self.theta[~self.mask])
-        return out
 
     def __repr__(self) -> str:
         parts = []

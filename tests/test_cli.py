@@ -383,3 +383,35 @@ class TestConfigHandling:
         assert doc["total_prob"] == pytest.approx(1.0, abs=1e-9)
         marg = doc["structure_marginals"]
         assert marg[json.dumps([[0, 1], [0, 2]], separators=(",", ":"))] == pytest.approx(0.25)
+
+    def test_non_integer_structure_field_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, structure={"kind": "top_k", "d": "x", "k": 2}, seed=0
+        )
+        assert run_cli("enumerate", "--config", cfg) == 2
+        assert "structure.d" in capsys.readouterr().err
+
+    def test_non_integer_max_traces_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
+        cfg = write_config(
+            tmp_path, structure={"kind": "top_k", "d": 3, "k": 2},
+            max_traces="a", seed=0,
+        )
+        assert run_cli("enumerate", "--config", cfg) == 2
+        assert "max_traces" in capsys.readouterr().err
+
+    def test_single_track_sample_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # With one draw per iteration the Monte Carlo stderr would be NaN.
+        monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 4, "k": 2},
+            optimizer={"iterations": 3},
+            fit={"target": [0, 1], "track_samples": 1},
+            max_traces=1,
+            seed=0,
+        )
+        out = tmp_path / "fit.csv"
+        assert run_cli("fit", "--config", cfg, "--out", str(out)) == 2
+        assert "track_samples" in capsys.readouterr().err
+        assert not out.exists()

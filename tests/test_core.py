@@ -17,6 +17,7 @@ from stochinv import (
     Trace,
     cond_jacobian_vjp,
     cond_sample,
+    enumerate_distribution,
     replay_conditional,
     run_struct,
     sample_utilities,
@@ -26,6 +27,7 @@ from stochinv import (
 )
 from conftest import (
     complete_digraph,
+    complete_graph,
     representative_instances,
     seeded_theta,
 )
@@ -259,10 +261,11 @@ class TestConditionalSampling:
             _x, t = run_struct(sdef, sample_utilities(theta, rng))
             e_cond, rec = cond_sample(sdef, t, theta, rng)
             for k in range(sdef.n_keys):
-                sums, resid = rec.utility_terms(k)
-                total = sum(eps / rates[list(keys)].sum() for eps, keys in sums)
-                if resid is not None:
-                    total += resid / rates[k]
+                total = sum(
+                    eps / rates[list(keys)].sum()
+                    for _w, eps, keys in rec.events if k in keys
+                )
+                total += sum(eps / rates[k] for key, eps in rec.tail if key == k)
                 assert e_cond.values[k] == pytest.approx(total, rel=1e-12, abs=1e-300)
 
     def test_infeasible_trace_raises(self):
@@ -338,7 +341,91 @@ class TestConditionalJacobian:
                 )
 
 
+class TestRecordedWalk:
+    """A trace from ``run_struct`` carries its walk; ``Trace(t.levels)`` does not."""
+
+    @pytest.mark.parametrize(
+        "sdef",
+        [sdef for _name, sdef in representative_instances()],
+        ids=[name for name, _sdef in representative_instances()],
+    )
+    def test_carried_walk_matches_validation_bit_for_bit(self, sdef):
+        theta = seeded_theta(sdef, 13)
+        rng = np.random.default_rng(16)
+        for i in range(10):
+            x, t = run_struct(sdef, sample_utilities(theta, rng))
+            rebuilt = Trace(t.levels)
+            assert rebuilt == t and hash(rebuilt) == hash(t) and repr(rebuilt) == repr(t)
+            assert trace_log_prob(sdef, t, theta) == trace_log_prob(sdef, rebuilt, theta)
+            assert np.array_equal(
+                trace_score(sdef, t, theta).values,
+                trace_score(sdef, rebuilt, theta).values,
+            )
+            e1, rec1 = cond_sample(sdef, t, theta, np.random.default_rng(i))
+            e2, rec2 = cond_sample(sdef, rebuilt, theta, np.random.default_rng(i))
+            assert np.array_equal(e1.values, e2.values) and rec1 == rec2
+            assert value_from_trace(sdef, t) == value_from_trace(sdef, rebuilt) == x
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            SpanningTree(range(4), complete_graph(4)),
+            SpanningTree(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]),
+        ],
+        ids=["same_graph", "other_graph"],
+    )
+    def test_walk_is_not_reused_under_another_definition(self, other):
+        sdef = SpanningTree(range(4), complete_graph(4))
+        theta = seeded_theta(sdef, 14)
+        other_theta = seeded_theta(other, 15)
+        rng = np.random.default_rng(17)
+        calls = (
+            lambda t: trace_log_prob(other, t, other_theta),
+            lambda t: trace_score(other, t, other_theta).values.tolist(),
+            lambda t: cond_sample(other, t, other_theta, np.random.default_rng(0))[1],
+            lambda t: value_from_trace(other, t),
+        )
+        for _ in range(10):
+            _x, t = run_struct(sdef, sample_utilities(theta, rng))
+            for call in calls:
+                try:
+                    expected = call(Trace(t.levels))
+                except InvalidTraceError:
+                    with pytest.raises(InvalidTraceError):
+                        call(t)
+                else:
+                    assert call(t) == expected
+
+
+class _EmptyPartition(TopK):
+    def split(self, K, R):
+        return [(), tuple(sorted(K))]
+
+
+class _OverlappingPartitions(TopK):
+    def split(self, K, R):
+        keys = tuple(sorted(K))
+        return [keys, keys[:1]]
+
+
+class _NonShrinkingMap(TopK):
+    def map(self, K, R, winners):
+        return K, R - 1
+
+
 class TestDefinitionContracts:
+    @pytest.mark.parametrize(
+        "broken", [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap]
+    )
+    @pytest.mark.parametrize("entry", ["run_struct", "enumerate_distribution"])
+    def test_both_entry_points_raise_the_same_error(self, broken, entry):
+        sdef = broken(3, 2)
+        with pytest.raises(StructureDefinitionError):
+            if entry == "run_struct":
+                run_struct(sdef, [0.1, 0.2, 0.3])
+            else:
+                enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+
     def test_bad_partition_is_rejected(self):
         class Broken(TopK):
             def split(self, K, R):
