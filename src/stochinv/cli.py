@@ -131,6 +131,13 @@ def _as_int(value, field: str) -> int:
         raise ConfigError(f"{field} must be an integer, got {value!r}") from None
 
 
+def _as_float(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+
+
 def build_structure(config: dict):
     spec = config.get("structure")
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -211,10 +218,11 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
     spec = config.get("theta", {"init": "constant", "value": 0.0})
     init = spec.get("init", "constant")
     if init == "constant":
-        return ThetaVector.constant(sdef.key_labels, float(spec.get("value", 0.0)))
+        value = _as_float(spec.get("value", 0.0), "theta.value")
+        return ThetaVector.constant(sdef.key_labels, value)
     if init == "random":
-        low = float(spec.get("low", -1.0))
-        high = float(spec.get("high", 1.0))
+        low = _as_float(spec.get("low", -1.0), "theta.low")
+        high = _as_float(spec.get("high", 1.0), "theta.high")
         if not low <= high:
             raise ConfigError(f"theta range [{low}, {high}] is empty")
         values = rng.uniform(low, high, sdef.n_keys)
@@ -454,8 +462,11 @@ def cmd_variance(config: dict, out, fmt: str) -> int:
     else:
         loss = _default_loss(sdef)
     specs = config.get("estimators")
-    if not specs:
+    if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"estimators[{i}] must be an object, got {spec!r}")
     budget = int(config.get("n_samples", 1000))
     rows = []
     for spec in specs:
@@ -532,11 +543,13 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
         raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
 
     opt_spec = config.get("optimizer", {})
-    iterations = int(opt_spec.get("iterations", 1000))
+    iterations = _as_int(opt_spec.get("iterations", 1000), "optimizer.iterations")
+    if iterations < 0:
+        raise ConfigError(f"optimizer.iterations must be at least 0, got {iterations}")
     optimizer = _Adam(
-        step_size=float(opt_spec.get("step_size", 1e-2)),
-        beta1=float(opt_spec.get("beta1", 0.9)),
-        beta2=float(opt_spec.get("beta2", 0.999)),
+        step_size=_as_float(opt_spec.get("step_size", 1e-2), "optimizer.step_size"),
+        beta1=_as_float(opt_spec.get("beta1", 0.9), "optimizer.beta1"),
+        beta2=_as_float(opt_spec.get("beta2", 0.999), "optimizer.beta2"),
     )
     est_spec = config.get("estimator", {"kind": "t_reinforce_plus", "K": 4})
     name, runner = build_estimator_runner(est_spec)

@@ -23,7 +23,8 @@ from .core import (
     Trace,
     _check_partition,
     _check_shrink,
-    trace_score,
+    _events_score,
+    trace_score,  # noqa: F401  perfbench/tracer.py rebinds oracle.trace_score
 )
 from .errors import (
     InstanceTooLargeError,
@@ -169,16 +170,19 @@ def exact_gradient(
     """The exact gradient of the expected loss in theta coordinates.
 
     Computed as sum over traces of p(t) * L(X(t)) * score(t), which equals
-    the gradient of the expectation because the score has zero mean.  The
-    distribution must have been enumerated under the same theta.
+    the gradient of the expectation because the score has zero mean.  Each
+    score is summed over the entry's stored events, so the distribution
+    must have been enumerated under the same theta.
     """
     if dist.key_labels != theta.keys:
         raise InvalidArgumentError("distribution keys do not match theta")
+    neg_theta = (-theta.theta).tolist()
     grad = np.zeros(len(theta.keys))
     for entry in dist.entries:
         weight = entry.prob * float(loss(entry.structure))
         if weight != 0.0:
-            grad += weight * trace_score(sdef, entry.trace, theta).values
+            events = ((P, w) for w, P in entry.events)
+            grad += weight * np.asarray(_events_score(neg_theta, events))
     return GradientVector(theta.keys, grad)
 
 
@@ -187,36 +191,37 @@ class TraceTable:
 
     The control flow, and with it every (winner, partition) event, is
     independent of theta, so the enumeration can be frozen into arrays
-    once and the probabilities recomputed in a few matrix operations per
-    new parameter vector.  Used to track exact expected losses during
-    optimization without re-enumerating.
+    once.  ``members`` holds one row per distinct partition, which events
+    share heavily, and ``part_of`` maps each event to its row, so each
+    partition's logsumexp runs once per new parameter vector.  Used to
+    track exact expected losses during optimization without re-enumerating.
     """
 
     def __init__(self, dist: EnumeratedDistribution):
         self.n_keys = len(dist.key_labels)
         self.n_traces = len(dist.entries)
+        rows = {}
         winners = []
+        part_of = []
         trace_ids = []
-        rows = []
         for t_id, entry in enumerate(dist.entries):
             for w, partition in entry.events:
                 winners.append(w)
+                part_of.append(rows.setdefault(partition, len(rows)))
                 trace_ids.append(t_id)
-                row = np.zeros(self.n_keys, dtype=bool)
-                row[list(partition)] = True
-                rows.append(row)
         self.winners = np.asarray(winners, dtype=np.intp)
+        self.part_of = np.asarray(part_of, dtype=np.intp)
         self.trace_ids = np.asarray(trace_ids, dtype=np.intp)
-        self.members = (
-            np.vstack(rows) if rows else np.zeros((0, self.n_keys), dtype=bool)
-        )
+        self.members = np.zeros((len(rows), self.n_keys), dtype=bool)
+        for row, partition in enumerate(rows):
+            self.members[row, list(partition)] = True
 
     def log_probs(self, theta: ThetaVector) -> np.ndarray:
         a = -theta.theta
         scored = np.where(self.members, a[None, :], -np.inf)
         shift = scored.max(axis=1)
         lse = shift + np.log(np.exp(scored - shift[:, None]).sum(axis=1))
-        event_lp = a[self.winners] - lse
+        event_lp = a[self.winners] - lse[self.part_of]
         return np.bincount(
             self.trace_ids, weights=event_lp, minlength=self.n_traces
         )

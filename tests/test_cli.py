@@ -415,3 +415,45 @@ class TestConfigHandling:
         assert run_cli("fit", "--config", cfg, "--out", str(out)) == 2
         assert "track_samples" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"theta": {"init": "constant", "value": "z"}}, "theta.value"),
+            ({"theta": {"init": "random", "low": "z"}}, "theta.low"),
+            ({"optimizer": {"iterations": 2, "step_size": [0.1]}}, "optimizer.step_size"),
+        ],
+    )
+    def test_non_numeric_float_field_is_exit_2(self, tmp_path, capsys, fields, name):
+        config = {
+            "structure": {"kind": "top_k", "d": 3, "k": 1},
+            "optimizer": {"iterations": 2},
+            "fit": {"target": [0]},
+            "seed": 0,
+        }
+        cfg = write_config(tmp_path, **{**config, **fields})
+        assert run_cli("fit", "--config", cfg) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("specs", [{"kind": "t_reinforce"}, ["t_reinforce"]])
+    def test_estimators_not_a_list_of_objects_is_exit_2(self, tmp_path, capsys, specs):
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            estimators=specs,
+            n_samples=10,
+            seed=0,
+        )
+        assert run_cli("variance", "--config", cfg) == 2
+        assert "estimators" in capsys.readouterr().err
+
+    def test_negative_iterations_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            optimizer={"iterations": -1},
+            fit={"target": [0]},
+            seed=0,
+        )
+        assert run_cli("fit", "--config", cfg) == 2
+        assert "optimizer.iterations" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stochinv import (
+    Arborescence,
     InstanceTooLargeError,
     InvalidArgumentError,
     InvalidParameterError,
@@ -22,8 +23,34 @@ from stochinv import (
     run_struct,
     sample_utilities_matrix,
     trace_log_prob,
+    trace_score,
 )
-from conftest import complete_graph, representative_instances, seeded_theta
+from conftest import (
+    complete_digraph,
+    complete_graph,
+    representative_instances,
+    seeded_theta,
+)
+
+
+def dense_log_probs(dist, theta):
+    """Per-trace log-probs with one dense membership row per event."""
+    a = -theta.theta
+    rows, winners, trace_ids = [], [], []
+    for t_id, entry in enumerate(dist.entries):
+        for w, partition in entry.events:
+            row = np.zeros(len(a), dtype=bool)
+            row[list(partition)] = True
+            rows.append(row)
+            winners.append(w)
+            trace_ids.append(t_id)
+    scored = np.where(np.array(rows).reshape(-1, len(a)), a[None, :], -np.inf)
+    shift = scored.max(axis=1)
+    lse = shift + np.log(np.exp(scored - shift[:, None]).sum(axis=1))
+    event_lp = a[np.array(winners, dtype=np.intp)] - lse
+    return np.bincount(
+        np.array(trace_ids, dtype=np.intp), weights=event_lp, minlength=len(dist)
+    )
 
 
 class TestEnumeration:
@@ -95,6 +122,38 @@ class TestTraceTable:
         tilted = theta0.replace(np.array([-20.0, 0.0, 0.0]))
         assert table.expected(tilted, losses) == pytest.approx(1.0, abs=1e-6)
 
+    def test_one_member_row_per_distinct_partition(self):
+        for name, sdef in representative_instances():
+            dist = enumerate_distribution(sdef, seeded_theta(sdef, 7))
+            table = TraceTable(dist)
+            partitions = {P for entry in dist.entries for _w, P in entry.events}
+            assert table.members.shape == (len(partitions), sdef.n_keys), name
+            for w, row in zip(table.winners, table.part_of):
+                assert table.members[row, w], name
+        k5 = SpanningTree(range(5), complete_graph(5))
+        dist = enumerate_distribution(k5, ThetaVector.constant(k5.key_labels))
+        assert TraceTable(dist).members.shape == (51, 10)
+
+    def test_log_probs_equal_dense_per_event_reference(self):
+        for name, sdef in representative_instances():
+            dist = enumerate_distribution(sdef, seeded_theta(sdef, 8))
+            theta1 = seeded_theta(sdef, 9, scale=3.0)
+            lps = TraceTable(dist).log_probs(theta1)
+            assert np.array_equal(lps, dense_log_probs(dist, theta1)), name
+
+    def test_log_probs_equal_dense_reference_with_masked_key(self):
+        sdef = Arborescence(range(4), complete_digraph(4), 0)
+        values = seeded_theta(sdef, 10).theta
+        mask = np.zeros(sdef.n_keys, dtype=bool)
+        mask[2] = True
+        theta0 = ThetaVector(sdef.key_labels, values, mask)
+        dist = enumerate_distribution(sdef, theta0)
+        # Every partition holding the masked key is a deterministic event.
+        assert all(2 not in P for entry in dist.entries for _w, P in entry.events)
+        theta1 = theta0.replace(seeded_theta(sdef, 11).theta)
+        lps = TraceTable(dist).log_probs(theta1)
+        assert np.array_equal(lps, dense_log_probs(dist, theta1))
+
 
 class TestExactGradient:
     def test_constant_loss_gives_zero(self):
@@ -133,6 +192,20 @@ class TestExactGradient:
                     - table.expected(theta.replace(down), losses)
                 ) / (2 * h)
                 assert g[i] == pytest.approx(fd, abs=1e-6)
+
+    def test_equals_explicit_sum_of_trace_scores(self):
+        for name, sdef in representative_instances():
+            theta = seeded_theta(sdef, 12)
+            dist = enumerate_distribution(sdef, theta)
+            target, _t = run_struct(sdef, np.arange(sdef.n_keys, dtype=float))
+            loss = lambda x: float(hamming_distance(x, target))  # noqa: E731
+            expected = np.zeros(sdef.n_keys)
+            for entry in dist.entries:
+                weight = entry.prob * loss(entry.structure)
+                if weight != 0.0:
+                    expected += weight * trace_score(sdef, entry.trace, theta).values
+            g = exact_gradient(dist, sdef, theta, loss).values
+            assert np.array_equal(g, expected), name
 
 
 class TestChiSquare:
