@@ -294,17 +294,6 @@ def _logsumexp_over(neg_theta, partition) -> float:
     return m + math.log(acc)
 
 
-def _events_score(neg_theta: list, events) -> list:
-    """Sum of the per-event scores of stochastic ``(partition, winner)`` events."""
-    grad = [0.0] * len(neg_theta)
-    for P, w in events:
-        lse = _logsumexp_over(neg_theta, P)
-        for k in P:
-            grad[k] += math.exp(neg_theta[k] - lse)
-        grad[w] -= 1.0
-    return grad
-
-
 def trace_log_prob(sdef: StructureDefinition, trace: Trace, theta: ThetaVector) -> float:
     """Exact log p(trace; theta).
 
@@ -337,8 +326,13 @@ def trace_score(sdef: StructureDefinition, trace: Trace, theta: ThetaVector) -> 
     _check_theta(sdef, theta)
     walk = _walk_of(sdef, trace)
     neg_theta = (-theta.theta).tolist()
-    events = _stochastic_events(walk, theta.mask.tolist())
-    return GradientVector(theta.keys, _events_score(neg_theta, events))
+    grad = [0.0] * sdef.n_keys
+    for P, w in _stochastic_events(walk, theta.mask.tolist()):
+        lse = _logsumexp_over(neg_theta, P)
+        for k in P:
+            grad[k] += math.exp(neg_theta[k] - lse)
+        grad[w] -= 1.0
+    return GradientVector(theta.keys, grad)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from .core import (
     Trace,
     _check_partition,
     _check_shrink,
-    _events_score,
-    trace_score,  # noqa: F401  perfbench/tracer.py rebinds oracle.trace_score
+    trace_score,
 )
 from .errors import (
     InstanceTooLargeError,
@@ -170,19 +169,16 @@ def exact_gradient(
     """The exact gradient of the expected loss in theta coordinates.
 
     Computed as sum over traces of p(t) * L(X(t)) * score(t), which equals
-    the gradient of the expectation because the score has zero mean.  Each
-    score is summed over the entry's stored events, so the distribution
-    must have been enumerated under the same theta.
+    the gradient of the expectation because the score has zero mean.  The
+    distribution must have been enumerated under the same theta.
     """
     if dist.key_labels != theta.keys:
         raise InvalidArgumentError("distribution keys do not match theta")
-    neg_theta = (-theta.theta).tolist()
     grad = np.zeros(len(theta.keys))
     for entry in dist.entries:
         weight = entry.prob * float(loss(entry.structure))
         if weight != 0.0:
-            events = ((P, w) for w, P in entry.events)
-            grad += weight * np.asarray(_events_score(neg_theta, events))
+            grad += weight * trace_score(sdef, entry.trace, theta).values
     return GradientVector(theta.keys, grad)
 
 

@@ -23,7 +23,6 @@ from stochinv import (
     run_struct,
     sample_utilities_matrix,
     trace_log_prob,
-    trace_score,
 )
 from conftest import (
     complete_digraph,
@@ -192,20 +191,6 @@ class TestExactGradient:
                     - table.expected(theta.replace(down), losses)
                 ) / (2 * h)
                 assert g[i] == pytest.approx(fd, abs=1e-6)
-
-    def test_equals_explicit_sum_of_trace_scores(self):
-        for name, sdef in representative_instances():
-            theta = seeded_theta(sdef, 12)
-            dist = enumerate_distribution(sdef, theta)
-            target, _t = run_struct(sdef, np.arange(sdef.n_keys, dtype=float))
-            loss = lambda x: float(hamming_distance(x, target))  # noqa: E731
-            expected = np.zeros(sdef.n_keys)
-            for entry in dist.entries:
-                weight = entry.prob * loss(entry.structure)
-                if weight != 0.0:
-                    expected += weight * trace_score(sdef, entry.trace, theta).values
-            g = exact_gradient(dist, sdef, theta, loss).values
-            assert np.array_equal(g, expected), name
 
 
 class TestChiSquare:
