@@ -138,6 +138,14 @@ def _as_float(value, field: str) -> float:
         raise ConfigError(f"{field} must be a number, got {value!r}") from None
 
 
+def _seed_streams(config: dict, n: int):
+    """``n`` independent seed sequences spawned from the config's ``seed``."""
+    seed = _as_int(config.get("seed", 0), "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return np.random.SeedSequence(seed).spawn(n)
+
+
 def build_structure(config: dict):
     spec = config.get("structure")
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -277,41 +285,56 @@ def resolve_max_traces(config: dict) -> int:
     return oracle.DEFAULT_MAX_TRACES
 
 
-def build_estimator_runner(spec: dict):
-    """Returns (name, fn) with fn(sdef, theta, loss, budget, rng) -> report."""
+def build_estimator_runner(spec: dict, field: str, n: int):
+    """Returns (name, fn) with fn(sdef, theta, loss, rng) -> report.
+
+    ``field`` names ``spec`` in the config, for errors; each call of ``fn``
+    spends ``n`` function evaluations.
+    """
     kind = spec.get("kind")
     if kind == "e_reinforce":
-        return kind, lambda sdef, theta, loss, n, rng: estimators.grad_e_reinforce(
+        return kind, lambda sdef, theta, loss, rng: estimators.grad_e_reinforce(
             sdef, theta, loss, n, rng, keep_per_sample=True
         )
     if kind == "t_reinforce":
-        return kind, lambda sdef, theta, loss, n, rng: estimators.grad_t_reinforce(
+        return kind, lambda sdef, theta, loss, rng: estimators.grad_t_reinforce(
             sdef, theta, loss, n, rng, keep_per_sample=True
         )
     if kind in ("t_reinforce_plus", "e_reinforce_plus"):
-        k = int(spec.get("K", 4))
+        k = _as_int(spec.get("K", 4), f"{field}.K")
+        if k < 2:
+            raise ConfigError(f"{field}.K must be at least 2, got {k}")
+        if n < k:
+            raise ConfigError(
+                f"n_samples = {n} is below {field}.K = {k}, "
+                "the evaluations one leave-one-out batch spends"
+            )
         space = "trace" if kind.startswith("t_") else "utility"
 
-        def run_loo(sdef, theta, loss, n, rng, k=k, space=space):
-            batches = max(n // k, 1)
+        def run_loo(sdef, theta, loss, rng):
             return estimators.grad_loo(
                 sdef, theta, loss, k, space, rng,
-                n_batches=batches, keep_per_sample=True,
+                n_batches=n // k, keep_per_sample=True,
             )
 
         return kind, run_loo
     if kind == "relax":
         cv_spec = spec.get("control_variate", {"kind": "zero"})
+        if not isinstance(cv_spec, dict):
+            raise ConfigError(
+                f"{field}.control_variate must be an object, got {cv_spec!r}"
+            )
         cv_kind = cv_spec.get("kind", "zero")
         if cv_kind == "zero":
             cv_template = None
         elif cv_kind == "quadratic":
-            coeff = float(cv_spec.get("coeff", 0.1))
-            cv_template = coeff
+            cv_template = _as_float(
+                cv_spec.get("coeff", 0.1), f"{field}.control_variate.coeff"
+            )
         else:
             raise ConfigError(f"unknown control variate kind {cv_kind!r}")
 
-        def run_relax(sdef, theta, loss, n, rng, coeff=cv_template):
+        def run_relax(sdef, theta, loss, rng, coeff=cv_template):
             if coeff is None:
                 cv = estimators.zero_control_variate()
             else:
@@ -375,8 +398,7 @@ def _marginal_key(sdef, encoded) -> str:
 
 def cmd_enumerate(config: dict, out, fmt: str) -> int:
     sdef = build_structure(config)
-    seed = int(config.get("seed", 0))
-    theta_ss, _work_ss = np.random.SeedSequence(seed).spawn(2)
+    theta_ss, _work_ss = _seed_streams(config, 2)
     theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
     dist = oracle.enumerate_distribution(sdef, theta, resolve_max_traces(config))
     total = dist.total_prob
@@ -420,8 +442,7 @@ def cmd_sample(config: dict, n: int, out, fmt: str) -> int:
     if n < 0:
         raise ConfigError(f"sample count must be nonnegative, got {n}")
     sdef = build_structure(config)
-    seed = int(config.get("seed", 0))
-    theta_ss, work_ss = np.random.SeedSequence(seed).spawn(2)
+    theta_ss, work_ss = _seed_streams(config, 2)
     theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
     rng = np.random.default_rng(work_ss)
     records = []
@@ -453,8 +474,7 @@ def cmd_sample(config: dict, n: int, out, fmt: str) -> int:
 
 def cmd_variance(config: dict, out, fmt: str) -> int:
     sdef = build_structure(config)
-    seed = int(config.get("seed", 0))
-    theta_ss, work_ss = np.random.SeedSequence(seed).spawn(2)
+    theta_ss, work_ss = _seed_streams(config, 2)
     theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
     target = decode_target(config, sdef) if "fit" in config else None
     if target is not None:
@@ -464,14 +484,15 @@ def cmd_variance(config: dict, out, fmt: str) -> int:
     specs = config.get("estimators")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
+    budget = _as_int(config.get("n_samples", 1000), "n_samples")
+    runners = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
             raise ConfigError(f"estimators[{i}] must be an object, got {spec!r}")
-    budget = int(config.get("n_samples", 1000))
+        runners.append(build_estimator_runner(spec, f"estimators[{i}]", budget))
     rows = []
-    for spec in specs:
-        name, runner = build_estimator_runner(spec)
-        report = runner(sdef, theta, loss, budget, np.random.default_rng(work_ss))
+    for name, runner in runners:
+        report = runner(sdef, theta, loss, np.random.default_rng(work_ss))
         per = report.per_sample
         n_rows = per.shape[0]
         mean = per.mean(axis=0)
@@ -528,8 +549,7 @@ class _Adam:
 
 def cmd_fit(config: dict, out, fmt: str) -> int:
     sdef = build_structure(config)
-    seed = int(config.get("seed", 0))
-    theta_ss, work_ss, track_ss = np.random.SeedSequence(seed).spawn(3)
+    theta_ss, work_ss, track_ss = _seed_streams(config, 3)
     theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
     target = decode_target(config, sdef)
     check = sdef.validate_value(target)
@@ -552,8 +572,12 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
         beta2=_as_float(opt_spec.get("beta2", 0.999), "optimizer.beta2"),
     )
     est_spec = config.get("estimator", {"kind": "t_reinforce_plus", "K": 4})
-    name, runner = build_estimator_runner(est_spec)
-    per_iter_budget = int(est_spec.get("n_samples", est_spec.get("K", 4)))
+    if not isinstance(est_spec, dict):
+        raise ConfigError(f"estimator must be an object, got {est_spec!r}")
+    # The budget per iteration defaults to K, one leave-one-out batch.
+    budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
+    per_iter_budget = _as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
+    _name, runner = build_estimator_runner(est_spec, "estimator", per_iter_budget)
 
     # Exact loss tracking when the instance is enumerable, Monte Carlo
     # tracking (with its own sample stream) otherwise.
@@ -588,10 +612,7 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
         if it == iterations:
             rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(0.0)))
             break
-        report = runner(
-            sdef, current, loss, per_iter_budget,
-            np.random.default_rng(work_children[it]),
-        )
+        report = runner(sdef, current, loss, np.random.default_rng(work_children[it]))
         grad = report.gradient.values
         rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(float(np.linalg.norm(grad)))))
         values = optimizer.update(values, grad)
@@ -615,8 +636,7 @@ def cmd_condcheck(config: dict, n: int, out, fmt: str) -> int:
     if n < 0:
         raise ConfigError(f"draw count must be nonnegative, got {n}")
     sdef = build_structure(config)
-    seed = int(config.get("seed", 0))
-    theta_ss, work_ss = np.random.SeedSequence(seed).spawn(2)
+    theta_ss, work_ss = _seed_streams(config, 2)
     theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
     rng = np.random.default_rng(work_ss)
     failures = 0

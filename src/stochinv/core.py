@@ -20,7 +20,9 @@ This module implements, over any such definition:
 
 A trace returned by ``run_struct`` carries its walk of the recursion, so
 the others score or resample it under the same definition without walking
-again; a trace built any other way is validated by walking as it dictates.
+again; a trace built any other way is validated by walking as it dictates,
+reusing the levels it shares with an earlier walked trace where one is
+given.
 
 Winners are removed from play by marking their rate infinite (tracked as a
 mask, never as a floating +inf): their residual utility is the constant 0,
@@ -185,9 +187,8 @@ def run_struct(sdef: StructureDefinition, utilities):
         return winners
 
     walk = _walk_recursion(sdef, argmins)
-    trace = Trace(tuple(tuple(enumerate(w)) for _K, _R, _parts, w in walk.frames))
-    object.__setattr__(trace, "_walk", walk)
-    return _fold(walk), trace
+    levels = tuple(tuple(enumerate(w)) for _K, _R, _parts, w in walk.frames)
+    return _fold(walk), _carrying(levels, walk)
 
 
 def value_from_trace(sdef: StructureDefinition, trace: Trace):
@@ -204,14 +205,26 @@ class _Walk(NamedTuple):
     R: object
 
 
-def _walk_recursion(sdef: StructureDefinition, choose) -> _Walk:
+def _carrying(levels: tuple, walk: _Walk) -> Trace:
+    """A trace of ``levels`` that carries ``walk``, its walk under ``walk.sdef``."""
+    trace = Trace(levels)
+    object.__setattr__(trace, "_walk", walk)
+    return trace
+
+
+def _walk_recursion(sdef: StructureDefinition, choose, start: Optional[_Walk] = None) -> _Walk:
     """Walk the recursion, taking each level's winners from ``choose(parts)``.
 
-    The recursion is a chain, so the loop is iterative and ``_fold`` folds
-    the stacked frames back with ``combine`` in reverse.
+    The walk starts at the root, or continues the partial walk ``start``
+    (whose frame list it extends).  The recursion is a chain, so the loop
+    is iterative and ``_fold`` folds the stacked frames back with
+    ``combine`` in reverse.
     """
-    K, R = sdef.initial_state()
-    frames = []
+    if start is None:
+        frames = []
+        K, R = sdef.initial_state()
+    else:
+        frames, K, R = start.frames, start.K, start.R
     while not sdef.stop(K, R):
         parts = sdef.split(K, R)
         _check_partition(parts, K)
@@ -230,14 +243,37 @@ def _fold(walk: _Walk):
     return walk.sdef.finish(value)
 
 
-def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
+def _carried(sdef: StructureDefinition, trace: Optional[Trace]) -> Optional[_Walk]:
+    walk = trace._walk if trace is not None else None
+    return walk if walk is not None and walk.sdef is sdef else None
+
+
+def _walk_of(sdef: StructureDefinition, trace: Trace, after: Optional[Trace] = None) -> _Walk:
     """The walk ``run_struct`` stored in ``trace`` for this very ``sdef``
     object; otherwise a walk as the trace dictates, raising InvalidTraceError
-    where it disagrees with the control flow."""
-    walk = trace._walk
-    if walk is not None and walk.sdef is sdef:
+    where it disagrees with the control flow.
+
+    If ``after`` carries its walk under ``sdef``, the leading levels the
+    two traces share are taken from that walk, which checked them already,
+    and only the levels from the first difference on are walked.  Traces
+    in depth-first order share most of their levels this way.
+    """
+    walk = _carried(sdef, trace)
+    if walk is not None:
         return walk
-    levels = iter(trace.levels)
+    start = None
+    shared = 0
+    prior = _carried(sdef, after)
+    if prior is not None:
+        for level, prior_level in zip(trace.levels, after.levels):
+            if level != prior_level:
+                break
+            shared += 1
+        # Resume at the state the prior walk reached after the shared levels.
+        frames = prior.frames
+        K, R = frames[shared][:2] if shared < len(frames) else (prior.K, prior.R)
+        start = _Walk(sdef, frames[:shared], K, R)
+    levels = iter(trace.levels[shared:])
 
     def recorded(parts):
         level = next(levels, None)
@@ -252,7 +288,7 @@ def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
                 raise InvalidTraceError(f"event ({pi}, {w}) not in partition {i}")
         return [w for _pi, w in level]
 
-    walk = _walk_recursion(sdef, recorded)
+    walk = _walk_recursion(sdef, recorded, start)
     if len(walk.frames) != len(trace.levels):
         raise InvalidTraceError("trace is longer than the recursion")
     return walk
@@ -261,6 +297,18 @@ def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
 def _check_theta(sdef: StructureDefinition, theta: ThetaVector) -> None:
     if theta.keys != sdef.key_labels:
         raise InvalidArgumentError("theta keys do not match the definition")
+
+
+def _forced_winner(P, mask: list) -> Optional[int]:
+    """The key of partition ``P`` already out of play under ``mask``, which
+    wins the partition deterministically, or None if the event is stochastic."""
+    forced = None
+    for k in P:
+        if mask[k]:
+            if forced is not None:
+                raise StructureDefinitionError("two deterministic keys share a partition")
+            forced = k
+    return forced
 
 
 def _stochastic_events(walk: _Walk, mask: list):
@@ -273,12 +321,10 @@ def _stochastic_events(walk: _Walk, mask: list):
     """
     for _K, _R, parts, winners in walk.frames:
         for P, w in zip(parts, winners):
-            masked = [k for k in P if mask[k]]
-            if len(masked) > 1:
-                raise StructureDefinitionError("two deterministic keys share a partition")
-            if not masked:
+            forced = _forced_winner(P, mask)
+            if forced is None:
                 yield P, w
-            elif masked[0] != w:
+            elif forced != w:
                 raise InvalidTraceError("trace has probability zero under this theta")
             mask[w] = True
 

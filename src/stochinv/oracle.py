@@ -4,9 +4,12 @@ Enumerating every trace of a definition gives the exact distribution: the
 recursion's control flow is replayed, but instead of taking argmins each
 stochastic event branches over every key of its partition with the
 categorical probability the rates imply (deterministic events take their
-forced branch).  Everything downstream (exact expected losses, exact
-gradients, goodness-of-fit tests) reduces to sums over the enumerated
-support.
+forced branch, by the masked-key rule ``core`` applies when scoring).  The
+search calls ``split`` and ``map`` once per node of the trace tree and
+folds each leaf's frames with ``core``'s fold.  Everything downstream
+(exact expected losses, exact gradients, goodness-of-fit tests) reduces to
+sums over the enumerated support; ``exact_gradient`` re-validates the
+traces with walks shared across their common prefixes.
 """
 
 from __future__ import annotations
@@ -21,15 +24,19 @@ from scipy import stats
 from .core import (
     StructureDefinition,
     Trace,
+    _carrying,
     _check_partition,
     _check_shrink,
+    _fold,
+    _forced_winner,
+    _Walk,
+    _walk_of,
     trace_score,
 )
 from .errors import (
     InstanceTooLargeError,
     InvalidArgumentError,
     InvalidParameterError,
-    StructureDefinitionError,
 )
 from .perturb import GradientVector, ThetaVector
 
@@ -86,77 +93,75 @@ def enumerate_distribution(
     if theta.keys != sdef.key_labels:
         raise InvalidArgumentError("theta keys do not match the definition")
     neg_theta = (-theta.theta).tolist()
+    mask = theta.mask.tolist()
     entries = []
     marginals = {}
 
-    # Iterative depth-first search; each stack item owns one stochastic
-    # event's remaining branches so partially explored levels resume where
-    # they left off.
-    def leaf(path_levels, path_frames, path_events, logp):
-        if len(entries) >= max_traces:
-            raise InstanceTooLargeError(max_traces, len(entries) + 1)
-        value = None
-        for K, R, winners in reversed(path_frames):
-            value = sdef.combine(value, K, R, winners)
-        value = sdef.finish(value)
-        trace = Trace(tuple(path_levels))
-        prob = math.exp(logp)
-        entries.append(TraceEntry(trace, logp, prob, value, tuple(path_events)))
-        encoded = sdef.encode_value(value)
-        marginals[encoded] = marginals.get(encoded, 0.0) + prob
-
-    def walk_level(K, R, mask, logp, levels, frames, events):
-        if sdef.stop(K, R):
-            leaf(levels, frames, events, logp)
-            return
-        parts = sdef.split(K, R)
-        _check_partition(parts, K)
-
-        def walk_partition(i, mask, logp, winners, level_events):
-            if i == len(parts):
-                level = tuple((j, w) for j, w in enumerate(winners))
-                K_next, R_next = sdef.map(K, R, winners)
+    # Iterative depth-first search over one mutable path: the finished
+    # levels' frames and trace levels, the stochastic events so far (whose
+    # winners are exactly the keys masked since the root), and the open
+    # level's (K, R, parts, winners).  Each stack item owns one stochastic
+    # event's remaining branches and the path lengths to cut back to, so a
+    # partially explored level resumes where it left off.
+    frames, levels, events, stack = [], [], [], []
+    K, R = sdef.initial_state()
+    parts, winners, logp = None, [], 0.0
+    while True:
+        # Extend the path until a stochastic event or a leaf.
+        while True:
+            if parts is None:
+                if sdef.stop(K, R):
+                    if len(entries) >= max_traces:
+                        raise InstanceTooLargeError(max_traces, len(entries) + 1)
+                    value = _fold(_Walk(sdef, frames, K, R))
+                    prob = math.exp(logp)
+                    entries.append(
+                        TraceEntry(Trace(tuple(levels)), logp, prob, value, tuple(events))
+                    )
+                    encoded = sdef.encode_value(value)
+                    marginals[encoded] = marginals.get(encoded, 0.0) + prob
+                    break
+                parts = sdef.split(K, R)
+                _check_partition(parts, K)
+                winners = []
+            if len(winners) == len(parts):
+                chosen = list(winners)
+                K_next, R_next = sdef.map(K, R, chosen)
                 _check_shrink(K_next, K)
-                walk_level(
-                    K_next,
-                    R_next,
-                    mask,
-                    logp,
-                    levels + [level],
-                    frames + [(K, R, list(winners))],
-                    events + level_events,
-                )
-                return
-            P = parts[i]
-            masked = [k for k in P if mask[k]]
-            if len(masked) > 1:
-                raise StructureDefinitionError(
-                    "two deterministic keys share a partition"
-                )
-            if masked:
-                w = masked[0]
-                next_mask = dict(mask)
-                next_mask[w] = True
-                walk_partition(i + 1, next_mask, logp, winners + [w], level_events)
-                return
-            m = max(neg_theta[k] for k in P)
-            lse = m + math.log(math.fsum(math.exp(neg_theta[k] - m) for k in P))
-            for w in P:
-                next_mask = dict(mask)
-                next_mask[w] = True
-                walk_partition(
-                    i + 1,
-                    next_mask,
-                    logp + neg_theta[w] - lse,
-                    winners + [w],
-                    level_events + [(w, P)],
-                )
-
-        walk_partition(0, mask, logp, [], [])
-
-    K0, R0 = sdef.initial_state()
-    mask0 = {k: bool(theta.mask[k]) for k in range(sdef.n_keys)}
-    walk_level(K0, R0, mask0, 0.0, [], [], [])
+                frames.append((K, R, parts, chosen))
+                levels.append(tuple(enumerate(chosen)))
+                K, R, parts = K_next, R_next, None
+                continue
+            P = parts[len(winners)]
+            forced = _forced_winner(P, mask)
+            if forced is not None:
+                winners.append(forced)
+                continue
+            scores = [neg_theta[k] for k in P]
+            m = max(scores)
+            lse = m + math.log(math.fsum([math.exp(a - m) for a in scores]))
+            stack.append(
+                [0, lse, logp, K, R, parts, winners, len(winners), len(frames), len(events)]
+            )
+            break
+        # Take the next branch of the deepest event that has one left.
+        if not stack:
+            break
+        item = stack[-1]
+        branch, lse, logp, K, R, parts, winners, i, n_frames, n_events = item
+        for w, _P in events[n_events:]:
+            mask[w] = False
+        del events[n_events:], frames[n_frames:], levels[n_frames:], winners[i:]
+        P = parts[i]
+        if branch + 1 == len(P):
+            stack.pop()
+        else:
+            item[0] = branch + 1
+        w = P[branch]
+        mask[w] = True
+        events.append((w, P))
+        winners.append(w)
+        logp = logp + neg_theta[w] - lse
     return EnumeratedDistribution(sdef.key_labels, tuple(entries), marginals)
 
 
@@ -170,15 +175,22 @@ def exact_gradient(
 
     Computed as sum over traces of p(t) * L(X(t)) * score(t), which equals
     the gradient of the expectation because the score has zero mean.  The
-    distribution must have been enumerated under the same theta.
+    distribution must have been enumerated under the same theta.  Each
+    scored trace is validated against ``sdef`` by a walk that reuses the
+    levels it shares with the trace scored before it (enumeration order
+    is depth-first, so that is most of them), and ``trace_score`` reads
+    that walk instead of walking again.
     """
     if dist.key_labels != theta.keys:
         raise InvalidArgumentError("distribution keys do not match theta")
     grad = np.zeros(len(theta.keys))
+    previous = None
     for entry in dist.entries:
         weight = entry.prob * float(loss(entry.structure))
         if weight != 0.0:
-            grad += weight * trace_score(sdef, entry.trace, theta).values
+            walk = _walk_of(sdef, entry.trace, previous)
+            previous = _carrying(entry.trace.levels, walk)
+            grad += weight * trace_score(sdef, previous, theta).values
     return GradientVector(theta.keys, grad)
 
 

@@ -457,3 +457,75 @@ class TestConfigHandling:
         )
         assert run_cli("fit", "--config", cfg) == 2
         assert "optimizer.iterations" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["enumerate", "sample", "variance", "fit", "condcheck"]
+    )
+    @pytest.mark.parametrize("seed", ["s", -1])
+    def test_bad_seed_is_exit_2(self, tmp_path, capsys, command, seed):
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            estimators=[{"kind": "t_reinforce"}],
+            n_samples=4,
+            optimizer={"iterations": 1},
+            fit={"target": [0]},
+            seed=seed,
+        )
+        extra = ["-n", "1"] if command in ("sample", "condcheck") else []
+        assert run_cli(command, "--config", cfg, *extra) == 2
+        assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, fields, name",
+        [
+            ("variance", {"n_samples": "x"}, "n_samples"),
+            ("variance", {"estimators": [{"kind": "t_reinforce_plus", "K": "q"}]},
+             "estimators[0].K"),
+            ("variance", {"estimators": [{"kind": "e_reinforce_plus", "K": 0}]},
+             "estimators[0].K"),
+            ("variance",
+             {"estimators": [{"kind": "relax",
+                              "control_variate": {"kind": "quadratic", "coeff": "c"}}]},
+             "estimators[0].control_variate.coeff"),
+            ("variance",
+             {"estimators": [{"kind": "relax", "control_variate": "quadratic"}]},
+             "estimators[0].control_variate"),
+            ("fit", {"estimator": "t_reinforce"}, "estimator"),
+            ("fit", {"estimator": {"kind": "t_reinforce_plus", "K": "q"}}, "estimator.K"),
+            ("fit", {"estimator": {"kind": "t_reinforce", "n_samples": "x"}},
+             "estimator.n_samples"),
+        ],
+    )
+    def test_bad_estimator_field_is_exit_2(self, tmp_path, capsys, command, fields, name):
+        config = {
+            "structure": {"kind": "top_k", "d": 3, "k": 1},
+            "estimators": [{"kind": "t_reinforce"}],
+            "n_samples": 8,
+            "optimizer": {"iterations": 1},
+            "fit": {"target": [0]},
+            "seed": 0,
+        }
+        cfg = write_config(tmp_path, **{**config, **fields})
+        assert run_cli(command, "--config", cfg) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["variance", "fit"])
+    def test_leave_one_out_budget_below_k_is_exit_2(self, tmp_path, capsys, command):
+        # One batch would spend K = 4 evaluations where the budget allows 2.
+        spec = {"kind": "t_reinforce_plus", "K": 4}
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            estimators=[spec],
+            estimator={**spec, "n_samples": 2},
+            n_samples=2,
+            optimizer={"iterations": 1},
+            fit={"target": [0]},
+            seed=0,
+        )
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "n_samples = 2" in err and "K = 4" in err
+        assert not out.exists()

@@ -42,6 +42,12 @@ CASES = {
          "theta": RANDOM_THETA, "seed": 3},
         [], [],
     ),
+    "enumerate_argsort.csv": (
+        "enumerate",
+        {"structure": {"kind": "argsort", "d": 4},
+         "theta": RANDOM_THETA, "seed": 7, "format": "csv"},
+        [], [],
+    ),
     "sample_top_k.jsonl": (
         "sample",
         {"structure": {"kind": "top_k", "d": 6, "k": 3},

@@ -1,5 +1,6 @@
 """Enumeration, exact gradients, and the statistical test helpers."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from stochinv import (
     Arborescence,
+    Argsort,
     InstanceTooLargeError,
     InvalidArgumentError,
     InvalidParameterError,
+    InvalidTraceError,
     SpanningTree,
     ThetaVector,
     TopK,
@@ -23,7 +26,9 @@ from stochinv import (
     run_struct,
     sample_utilities_matrix,
     trace_log_prob,
+    trace_score,
 )
+from stochinv.oracle import EnumeratedDistribution, TraceEntry
 from conftest import (
     complete_digraph,
     complete_graph,
@@ -96,6 +101,20 @@ class TestEnumeration:
         assert len(dist) == 6
         for entry in dist.entries:
             assert entry.prob == pytest.approx(1 / 6, abs=1e-12)
+
+
+    def test_leaves_no_cyclic_garbage(self):
+        for name, sdef in representative_instances():
+            theta = seeded_theta(sdef, 14)
+            gc.collect()
+            gc.disable()
+            try:
+                dist = enumerate_distribution(sdef, theta)
+                exact_gradient(dist, sdef, theta, lambda x: 1.0)
+                del dist
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()
 
 
 class TestTraceTable:
@@ -191,6 +210,46 @@ class TestExactGradient:
                     - table.expected(theta.replace(down), losses)
                 ) / (2 * h)
                 assert g[i] == pytest.approx(fd, abs=1e-6)
+
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_sum_of_independent_scores_bit_for_bit(self, masked):
+        instances = representative_instances() + [
+            ("cle_K5", Arborescence(range(5), complete_digraph(5), 0))
+        ]
+        for name, sdef in instances:
+            theta = seeded_theta(sdef, 12)
+            if masked:
+                mask = np.zeros(sdef.n_keys, dtype=bool)
+                mask[1] = True
+                theta = ThetaVector(sdef.key_labels, theta.theta, mask)
+            dist = enumerate_distribution(sdef, theta)
+            target, _t = run_struct(sdef, np.arange(sdef.n_keys, dtype=float))
+            loss = lambda x: float(hamming_distance(x, target))  # noqa: E731
+            expected = np.zeros(sdef.n_keys)
+            for entry in dist.entries:
+                weight = entry.prob * loss(entry.structure)
+                if weight != 0.0:
+                    fresh = Trace(entry.trace.levels)
+                    expected += weight * trace_score(sdef, fresh, theta).values
+            got = exact_gradient(dist, sdef, theta, loss).values
+            assert np.array_equal(got, expected), name
+
+    def test_invalid_trace_after_a_valid_one_raises(self):
+        sdef = Argsort(4)
+        theta = seeded_theta(sdef, 13)
+        dist = enumerate_distribution(sdef, theta)
+        first = dist.entries[0]
+        # Shares the first two levels, then names a key already placed.
+        levels = first.trace.levels[:2] + (((0, first.trace.levels[1][0][1]),),) + (
+            first.trace.levels[3:]
+        )
+        bogus = TraceEntry(Trace(levels), first.log_prob, first.prob, first.structure, ())
+        tampered = EnumeratedDistribution(
+            dist.key_labels, (first, bogus), dist.structure_marginals
+        )
+        with pytest.raises(InvalidTraceError):
+            exact_gradient(tampered, sdef, theta, lambda x: 1.0)
 
 
 class TestChiSquare:
