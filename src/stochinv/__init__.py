@@ -56,8 +56,6 @@ from .perturb import (
     KeyedVector,
     ThetaVector,
     Utilities,
-    rates_from_theta,
-    reparam_diag,
     sample_utilities,
     sample_utilities_matrix,
 )
@@ -70,7 +68,6 @@ from .structures import (
     TopK,
     TreeNode,
     hamming_distance,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -23,93 +23,22 @@ import numpy as np
 from . import estimators, oracle, structures
 from .core import cond_sample, run_struct, trace_log_prob
 from .errors import (
+    ConfigError,
     InfeasibleGraphError,
     InstanceTooLargeError,
     InvalidParameterError,
     StochinvError,
+    as_float,
+    as_int,
 )
 from .perturb import ThetaVector, sample_utilities
 
 MAX_TRACES_ENV = "STOCHINV_MAX_TRACES"
 
 
-class ConfigError(StochinvError):
-    """Bad config file, graph file, or command invocation."""
-
-
 # --------------------------------------------------------------------------
 # input parsing
 # --------------------------------------------------------------------------
-
-def parse_graph_file(path: str):
-    """Parse the line-oriented graph format.
-
-    Header ``graph <directed|undirected> <num_vertices>``, one ``u v`` edge
-    per line with 0-based ids, optional ``root r`` line for directed
-    graphs.  Blank lines and ``#`` comments are ignored.  Returns
-    (directed, n_vertices, edges, root).
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
-    directed = None
-    n_vertices = None
-    root = None
-    edges = []
-    seen = set()
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if directed is None:
-            if len(fields) != 3 or fields[0] != "graph" or fields[1] not in (
-                "directed",
-                "undirected",
-            ):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected header 'graph <directed|undirected> <num_vertices>'"
-                )
-            directed = fields[1] == "directed"
-            try:
-                n_vertices = int(fields[2])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: vertex count is not an integer")
-            if n_vertices < 1:
-                raise ConfigError(f"{path}:{lineno}: need at least one vertex")
-            continue
-        if fields[0] == "root":
-            if not directed:
-                raise ConfigError(f"{path}:{lineno}: root line in an undirected graph")
-            if len(fields) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'root <r>'")
-            try:
-                root = int(fields[1])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: root is not an integer")
-            if not 0 <= root < n_vertices:
-                raise ConfigError(f"{path}:{lineno}: root {root} out of range")
-            continue
-        if len(fields) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: edge endpoints are not integers")
-        for x in (u, v):
-            if not 0 <= x < n_vertices:
-                raise ConfigError(f"{path}:{lineno}: vertex id {x} out of range")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-    if directed is None:
-        raise ConfigError(f"{path}: empty graph file")
-    return directed, n_vertices, edges, root
-
 
 def load_config(path: str) -> dict:
     try:
@@ -124,23 +53,9 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _as_int(value, field: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be an integer, got {value!r}") from None
-
-
-def _as_float(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a number, got {value!r}") from None
-
-
 def _seed_streams(config: dict, n: int):
     """``n`` independent seed sequences spawned from the config's ``seed``."""
-    seed = _as_int(config.get("seed", 0), "seed")
+    seed = as_int(config.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     return np.random.SeedSequence(seed).spawn(n)
@@ -151,36 +66,15 @@ def build_structure(config: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError("config needs a 'structure' object with a 'kind'")
     kind = spec["kind"]
+    cls = structures.KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown structure kind {kind!r}")
     try:
-        if kind == "top_k":
-            return structures.TopK(
-                _as_int(spec["d"], "structure.d"), _as_int(spec["k"], "structure.k")
-            )
-        if kind == "argsort":
-            return structures.Argsort(_as_int(spec["d"], "structure.d"))
-        if kind == "matching":
-            return structures.Matching(_as_int(spec["n"], "structure.n"))
-        if kind == "binary_tree":
-            return structures.BinaryTree(_as_int(spec["n"], "structure.n"))
-        if kind == "spanning_tree":
-            directed, nv, edges, _root = parse_graph_file(spec["graph"])
-            if directed:
-                raise ConfigError("spanning_tree needs an undirected graph")
-            return structures.SpanningTree(range(nv), edges)
-        if kind == "arborescence":
-            directed, nv, edges, root = parse_graph_file(spec["graph"])
-            if not directed:
-                raise ConfigError("arborescence needs a directed graph")
-            if "root" in spec:
-                root = _as_int(spec["root"], "structure.root")
-            if root is None:
-                raise ConfigError("arborescence needs a root (file or config)")
-            return structures.Arborescence(range(nv), edges, root)
+        return cls.from_config(spec)
     except KeyError as exc:
         raise ConfigError(f"structure kind {kind!r} is missing field {exc}") from exc
     except (InvalidParameterError, InfeasibleGraphError) as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown structure kind {kind!r}")
 
 
 def _labels_to_json(obj):
@@ -226,11 +120,11 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
     spec = config.get("theta", {"init": "constant", "value": 0.0})
     init = spec.get("init", "constant")
     if init == "constant":
-        value = _as_float(spec.get("value", 0.0), "theta.value")
+        value = as_float(spec.get("value", 0.0), "theta.value")
         return ThetaVector.constant(sdef.key_labels, value)
     if init == "random":
-        low = _as_float(spec.get("low", -1.0), "theta.low")
-        high = _as_float(spec.get("high", 1.0), "theta.high")
+        low = as_float(spec.get("low", -1.0), "theta.low")
+        high = as_float(spec.get("high", 1.0), "theta.high")
         if not low <= high:
             raise ConfigError(f"theta range [{low}, {high}] is empty")
         values = rng.uniform(low, high, sdef.n_keys)
@@ -249,39 +143,22 @@ def decode_target(config: dict, sdef):
     fit = config.get("fit", {})
     if "target" not in fit:
         raise ConfigError("fit needs a 'fit.target' structure")
-    raw = fit["target"]
-    kind = config["structure"]["kind"]
     try:
-        if kind == "top_k":
-            return frozenset(int(x) for x in raw)
-        if kind == "argsort":
-            return tuple(int(x) for x in raw)
-        if kind in ("matching", "arborescence"):
-            return frozenset((int(u), int(v)) for u, v in raw)
-        if kind == "spanning_tree":
-            return frozenset(
-                (min(int(u), int(v)), max(int(u), int(v))) for u, v in raw
-            )
-        if kind == "binary_tree":
-
-            def tree(node):
-                if node is None:
-                    return None
-                key, left, right = node
-                return structures.TreeNode(int(key), tree(left), tree(right))
-
-            return tree(raw)
+        target = sdef.decode_value(fit["target"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed fit.target: {exc}") from exc
-    raise ConfigError(f"no target decoding for structure kind {kind!r}")
+    check = sdef.validate_value(target)
+    if not check:
+        raise ConfigError(f"fit.target is not a valid structure: {check.reason}")
+    return target
 
 
 def resolve_max_traces(config: dict) -> int:
     env = os.environ.get(MAX_TRACES_ENV)
     if env is not None:
-        return _as_int(env, MAX_TRACES_ENV)
+        return as_int(env, MAX_TRACES_ENV)
     if "max_traces" in config and config["max_traces"] is not None:
-        return _as_int(config["max_traces"], "max_traces")
+        return as_int(config["max_traces"], "max_traces")
     return oracle.DEFAULT_MAX_TRACES
 
 
@@ -301,13 +178,18 @@ def build_estimator_runner(spec: dict, field: str, n: int):
             sdef, theta, loss, n, rng, keep_per_sample=True
         )
     if kind in ("t_reinforce_plus", "e_reinforce_plus"):
-        k = _as_int(spec.get("K", 4), f"{field}.K")
+        k = as_int(spec.get("K", 4), f"{field}.K")
         if k < 2:
             raise ConfigError(f"{field}.K must be at least 2, got {k}")
         if n < k:
             raise ConfigError(
                 f"n_samples = {n} is below {field}.K = {k}, "
                 "the evaluations one leave-one-out batch spends"
+            )
+        if n % k:
+            raise ConfigError(
+                f"n_samples = {n} is not a multiple of {field}.K = {k}, "
+                "so whole leave-one-out batches cannot spend it"
             )
         space = "trace" if kind.startswith("t_") else "utility"
 
@@ -328,7 +210,7 @@ def build_estimator_runner(spec: dict, field: str, n: int):
         if cv_kind == "zero":
             cv_template = None
         elif cv_kind == "quadratic":
-            cv_template = _as_float(
+            cv_template = as_float(
                 cv_spec.get("coeff", 0.1), f"{field}.control_variate.coeff"
             )
         else:
@@ -484,7 +366,7 @@ def cmd_variance(config: dict, out, fmt: str) -> int:
     specs = config.get("estimators")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
-    budget = _as_int(config.get("n_samples", 1000), "n_samples")
+    budget = as_int(config.get("n_samples", 1000), "n_samples")
     runners = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict):
@@ -552,31 +434,28 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
     theta_ss, work_ss, track_ss = _seed_streams(config, 3)
     theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
     target = decode_target(config, sdef)
-    check = sdef.validate_value(target)
-    if not check:
-        raise ConfigError(f"fit.target is not a valid structure: {check.reason}")
     loss = lambda x: float(structures.hamming_distance(x, target))  # noqa: E731
-    track_samples = _as_int(
+    track_samples = as_int(
         config.get("fit", {}).get("track_samples", 32), "fit.track_samples"
     )
     if track_samples < 2:
         raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
 
     opt_spec = config.get("optimizer", {})
-    iterations = _as_int(opt_spec.get("iterations", 1000), "optimizer.iterations")
+    iterations = as_int(opt_spec.get("iterations", 1000), "optimizer.iterations")
     if iterations < 0:
         raise ConfigError(f"optimizer.iterations must be at least 0, got {iterations}")
     optimizer = _Adam(
-        step_size=_as_float(opt_spec.get("step_size", 1e-2), "optimizer.step_size"),
-        beta1=_as_float(opt_spec.get("beta1", 0.9), "optimizer.beta1"),
-        beta2=_as_float(opt_spec.get("beta2", 0.999), "optimizer.beta2"),
+        step_size=as_float(opt_spec.get("step_size", 1e-2), "optimizer.step_size"),
+        beta1=as_float(opt_spec.get("beta1", 0.9), "optimizer.beta1"),
+        beta2=as_float(opt_spec.get("beta2", 0.999), "optimizer.beta2"),
     )
     est_spec = config.get("estimator", {"kind": "t_reinforce_plus", "K": 4})
     if not isinstance(est_spec, dict):
         raise ConfigError(f"estimator must be an object, got {est_spec!r}")
     # The budget per iteration defaults to K, one leave-one-out batch.
     budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
-    per_iter_budget = _as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
+    per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
     _name, runner = build_estimator_runner(est_spec, "estimator", per_iter_budget)
 
     # Exact loss tracking when the instance is enumerable, Monte Carlo

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all stochinv modules."""
+"""Exception hierarchy shared by all stochinv modules, and config field parsers."""
+
+from numbers import Integral
 
 
 class StochinvError(Exception):
@@ -40,3 +42,29 @@ class InstanceTooLargeError(StochinvError):
 
 class InvalidControlVariateError(StochinvError):
     """A control variate failed its gradient self-test."""
+
+
+class ConfigError(StochinvError):
+    """Bad config file, graph file, or command invocation."""
+
+
+def as_int(value, field: str) -> int:
+    """``value`` as an int; integral floats and integer strings are accepted.
+
+    Booleans and non-integral numbers are rejected rather than truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (Integral, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{field} must be an integer, got {value!r}")
+
+
+def as_float(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field} must be a number, got {value!r}") from None

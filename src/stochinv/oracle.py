@@ -71,10 +71,6 @@ class EnumeratedDistribution:
     def total_prob(self) -> float:
         return math.fsum(entry.prob for entry in self.entries)
 
-    def prob_of(self, trace: Trace) -> float:
-        entry = self._by_trace.get(trace)
-        return entry.prob if entry is not None else 0.0
-
     def entry_of(self, trace: Trace) -> Optional[TraceEntry]:
         return self._by_trace.get(trace)
 

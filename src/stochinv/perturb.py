@@ -10,7 +10,7 @@ single source of truth.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class ThetaVector:
     its utility is exactly 0 and it wins every comparison it takes part in.
     """
 
-    __slots__ = ("keys", "theta", "mask", "_index")
+    __slots__ = ("keys", "theta", "mask")
 
     def __init__(self, keys: Iterable, theta, mask=None):
         self.keys = tuple(keys)
@@ -95,26 +95,14 @@ class ThetaVector:
             raise InvalidParameterError("mask shape does not match theta")
         if not np.all(np.isfinite(self.theta[~self.mask])):
             raise InvalidParameterError("theta must be finite on unmasked keys")
-        self._index = {k: i for i, k in enumerate(self.keys)}
 
     @classmethod
     def constant(cls, keys, value: float = 0.0) -> "ThetaVector":
         keys = tuple(keys)
         return cls(keys, np.full(len(keys), float(value)))
 
-    @classmethod
-    def from_dict(cls, mapping: Mapping, masked: Iterable = ()) -> "ThetaVector":
-        keys = tuple(mapping)
-        masked = set(masked)
-        theta = [0.0 if k in masked else float(mapping[k]) for k in keys]
-        mask = [k in masked for k in keys]
-        return cls(keys, theta, mask)
-
     def __len__(self) -> int:
         return len(self.keys)
-
-    def index(self, key) -> int:
-        return self._index[key]
 
     def replace(self, theta) -> "ThetaVector":
         """Same keys and mask, new theta values."""
@@ -125,18 +113,6 @@ class ThetaVector:
         for k, t, m in zip(self.keys, self.theta, self.mask):
             parts.append(f"{k!r}: det" if m else f"{k!r}: {t:.6g}")
         return f"ThetaVector({{{', '.join(parts)}}})"
-
-
-def rates_from_theta(theta: ThetaVector) -> KeyedVector:
-    """Per-key exponential rates exp(-theta), +inf sentinel on masked keys.
-
-    The sentinel is for inspection and display only; computational paths
-    use the mask so that no +inf enters sums or logs.
-    """
-    rates = np.empty(len(theta.keys))
-    rates[~theta.mask] = np.exp(-theta.theta[~theta.mask])
-    rates[theta.mask] = np.inf
-    return KeyedVector(theta.keys, rates)
 
 
 def sample_utilities(theta: ThetaVector, rng) -> Utilities:
@@ -161,11 +137,3 @@ def sample_utilities_matrix(theta: ThetaVector, n_samples: int, rng) -> np.ndarr
     values[:, theta.mask] = 0.0
     return values
 
-
-def reparam_diag(utilities: Utilities) -> KeyedVector:
-    """Pathwise derivative dE_k/dtheta_k of the sample map at fixed noise.
-
-    E_k = eps_k * exp(theta_k) gives dE_k/dtheta_k = E_k; masked keys are
-    constant 0 and so contribute 0, which is again their value.
-    """
-    return KeyedVector(utilities.keys, utilities.values.copy())

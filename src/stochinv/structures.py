@@ -9,6 +9,10 @@ what makes their trace probabilities exact.
 Keys are dense integers internally; ``key_labels`` carries the
 caller-facing names (item indices, matrix cells, edge tuples).  Structure
 values are expressed in label space.
+
+Each class also owns its config kind: the ``kind`` name, ``from_config``,
+``decode_value`` (the inverse of the CLI's JSON encoding) and
+``validate_value``.  ``KINDS`` maps each kind name to its class.
 """
 
 from __future__ import annotations
@@ -19,12 +23,34 @@ from typing import Iterable, Optional
 
 from .core import StructureDefinition
 from .errors import (
+    ConfigError,
     InfeasibleGraphError,
     InvalidArgumentError,
     InvalidParameterError,
+    as_int,
 )
 
 TreeNode = namedtuple("TreeNode", ["key", "left", "right"])
+
+
+@dataclass(frozen=True)
+class ValidationResult:
+    ok: bool
+    reason: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _fail(reason: str) -> ValidationResult:
+    return ValidationResult(False, reason)
+
+
+_OK = ValidationResult(True)
+
+
+def _edges_from_json(doc) -> frozenset:
+    return frozenset((int(u), int(v)) for u, v in doc)
 
 
 class TopK(StructureDefinition):
@@ -35,12 +61,18 @@ class TopK(StructureDefinition):
     selection order while the value forgets it.
     """
 
+    kind = "top_k"
+
     def __init__(self, d: int, k: int):
         if not 1 <= k <= d:
             raise InvalidParameterError(f"need 1 <= k <= d, got k={k}, d={d}")
         self.d = d
         self.k = k
         self.key_labels = tuple(range(d))
+
+    @classmethod
+    def from_config(cls, spec):
+        return cls(as_int(spec["d"], "structure.d"), as_int(spec["k"], "structure.k"))
 
     def initial_state(self):
         return frozenset(range(self.d)), self.k
@@ -63,8 +95,16 @@ class TopK(StructureDefinition):
     def encode_value(self, value):
         return tuple(sorted(value))
 
+    def decode_value(self, doc):
+        return frozenset(int(x) for x in doc)
+
     def validate_value(self, value):
-        return validate(value, "subset", keys=self.key_labels, k=self.k)
+        if len(value) != self.k:
+            return _fail(f"subset has {len(value)} elements, expected {self.k}")
+        unknown = set(value) - set(self.key_labels)
+        if unknown:
+            return _fail(f"subset contains unknown keys {unknown!r}")
+        return _OK
 
 
 class Argsort(StructureDefinition):
@@ -74,11 +114,17 @@ class Argsort(StructureDefinition):
     kept, so the value and the trace carry the same information.
     """
 
+    kind = "argsort"
+
     def __init__(self, d: int):
         if d < 1:
             raise InvalidParameterError(f"need d >= 1, got {d}")
         self.d = d
         self.key_labels = tuple(range(d))
+
+    @classmethod
+    def from_config(cls, spec):
+        return cls(as_int(spec["d"], "structure.d"))
 
     def initial_state(self):
         return frozenset(range(self.d)), None
@@ -98,8 +144,15 @@ class Argsort(StructureDefinition):
     def finish(self, value):
         return value if value is not None else ()
 
+    def decode_value(self, doc):
+        return tuple(int(x) for x in doc)
+
     def validate_value(self, value):
-        return validate(value, "permutation", keys=self.key_labels)
+        if len(value) != self.d:
+            return _fail(f"permutation has {len(value)} entries, expected {self.d}")
+        if sorted(value) != list(self.key_labels):
+            return _fail("permutation is not a bijection on the keys")
+        return _OK
 
 
 class Matching(StructureDefinition):
@@ -109,11 +162,17 @@ class Matching(StructureDefinition):
     column drop out; after n rounds every row and column is used once.
     """
 
+    kind = "matching"
+
     def __init__(self, n: int):
         if n < 1:
             raise InvalidParameterError(f"need n >= 1, got {n}")
         self.n = n
         self.key_labels = tuple((r, c) for r in range(n) for c in range(n))
+
+    @classmethod
+    def from_config(cls, spec):
+        return cls(as_int(spec["n"], "structure.n"))
 
     def initial_state(self):
         return frozenset(range(self.n * self.n)), None
@@ -141,8 +200,15 @@ class Matching(StructureDefinition):
     def encode_value(self, value):
         return tuple(sorted(value))
 
+    def decode_value(self, doc):
+        return _edges_from_json(doc)
+
     def validate_value(self, value):
-        return validate(value, "matching", n=self.n)
+        if sorted(r for r, _ in value) != list(range(self.n)):
+            return _fail("rows are not each used exactly once")
+        if sorted(c for _, c in value) != list(range(self.n)):
+            return _fail("columns are not each used exactly once")
+        return _OK
 
 
 class BinaryTree(StructureDefinition):
@@ -155,11 +221,17 @@ class BinaryTree(StructureDefinition):
     child values stay aligned without placeholders.
     """
 
+    kind = "binary_tree"
+
     def __init__(self, n: int):
         if n < 1:
             raise InvalidParameterError(f"need n >= 1, got {n}")
         self.n = n
         self.key_labels = tuple(range(n))
+
+    @classmethod
+    def from_config(cls, spec):
+        return cls(as_int(spec["n"], "structure.n"))
 
     def initial_state(self):
         return frozenset(range(self.n)), ((0, self.n - 1),)
@@ -191,8 +263,107 @@ class BinaryTree(StructureDefinition):
     def finish(self, value):
         return value[0] if value else None
 
+    def decode_value(self, doc):
+        if doc is None:
+            return None
+        key, left, right = doc
+        return TreeNode(int(key), self.decode_value(left), self.decode_value(right))
+
     def validate_value(self, value):
-        return validate(value, "binary_tree", n=self.n)
+        if value is None:
+            return _fail("tree is empty")
+        inorder = _tree_nodes_inorder(value)
+        if len(inorder) != self.n or len(set(inorder)) != self.n:
+            return _fail(f"tree holds {len(inorder)} nodes, expected {self.n} distinct")
+        if inorder != list(range(self.n)):
+            return _fail("in-order traversal does not recover the token order")
+        return _OK
+
+
+def _tree_nodes_inorder(tree) -> list:
+    out = []
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node is None:
+            continue
+        if expanded:
+            out.append(node.key)
+        else:
+            stack.append((node.right, False))
+            stack.append((node, True))
+            stack.append((node.left, False))
+    return out
+
+
+def parse_graph_file(path: str):
+    """Parse the line-oriented graph format.
+
+    Header ``graph <directed|undirected> <num_vertices>``, one ``u v`` edge
+    per line with 0-based ids, optional ``root r`` line for directed
+    graphs.  Blank lines and ``#`` comments are ignored.  Returns
+    (directed, n_vertices, edges, root).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
+    directed = None
+    n_vertices = None
+    root = None
+    edges = []
+    seen = set()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if directed is None:
+            if len(fields) != 3 or fields[0] != "graph" or fields[1] not in (
+                "directed",
+                "undirected",
+            ):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected header 'graph <directed|undirected> <num_vertices>'"
+                )
+            directed = fields[1] == "directed"
+            try:
+                n_vertices = int(fields[2])
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: vertex count is not an integer")
+            if n_vertices < 1:
+                raise ConfigError(f"{path}:{lineno}: need at least one vertex")
+            continue
+        if fields[0] == "root":
+            if not directed:
+                raise ConfigError(f"{path}:{lineno}: root line in an undirected graph")
+            if len(fields) != 2:
+                raise ConfigError(f"{path}:{lineno}: expected 'root <r>'")
+            try:
+                root = int(fields[1])
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: root is not an integer")
+            if not 0 <= root < n_vertices:
+                raise ConfigError(f"{path}:{lineno}: root {root} out of range")
+            continue
+        if len(fields) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected 'u v'")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: edge endpoints are not integers")
+        for x in (u, v):
+            if not 0 <= x < n_vertices:
+                raise ConfigError(f"{path}:{lineno}: vertex id {x} out of range")
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate edge {u} {v}")
+        seen.add(key)
+        edges.append((u, v))
+    if directed is None:
+        raise ConfigError(f"{path}: empty graph file")
+    return directed, n_vertices, edges, root
 
 
 class SpanningTree(StructureDefinition):
@@ -203,6 +374,8 @@ class SpanningTree(StructureDefinition):
     internal disappear.  A partition that empties while several components
     remain means the graph was disconnected.
     """
+
+    kind = "spanning_tree"
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         self.vertices = tuple(sorted(set(vertices)))
@@ -221,6 +394,13 @@ class SpanningTree(StructureDefinition):
             seen.add(edge)
             labels.append(edge)
         self.key_labels = tuple(sorted(labels))
+
+    @classmethod
+    def from_config(cls, spec):
+        directed, n_vertices, edges, _root = parse_graph_file(spec["graph"])
+        if directed:
+            raise ConfigError(f"{cls.kind} needs an undirected graph")
+        return cls(range(n_vertices), edges)
 
     def initial_state(self):
         roots = {v: v for v in self.vertices}
@@ -257,8 +437,31 @@ class SpanningTree(StructureDefinition):
     def encode_value(self, value):
         return tuple(sorted(value))
 
+    def decode_value(self, doc):
+        return frozenset((min(u, v), max(u, v)) for u, v in _edges_from_json(doc))
+
     def validate_value(self, value):
-        return validate(value, "spanning_tree", vertices=self.vertices)
+        vertices = self.vertices
+        if len(value) != len(vertices) - 1:
+            return _fail(f"{len(value)} edges for {len(vertices)} vertices")
+        roots = {v: v for v in vertices}
+
+        def find(x):
+            while roots[x] != x:
+                roots[x] = roots[roots[x]]
+                x = roots[x]
+            return x
+
+        for u, v in value:
+            if u not in roots or v not in roots:
+                return _fail(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                return _fail(f"edge ({u!r}, {v!r}) closes a cycle")
+            roots[ru] = rv
+        if len({find(v) for v in vertices}) != 1:
+            return _fail("edges do not span all vertices")
+        return _OK
 
 
 class Arborescence(StructureDefinition):
@@ -273,6 +476,8 @@ class Arborescence(StructureDefinition):
     unwinds; expanding a cycle keeps all its edges but the one displaced
     by the edge entering from outside.
     """
+
+    kind = "arborescence"
 
     def __init__(self, vertices: Iterable, edges: Iterable, root):
         self.vertices = tuple(sorted(set(vertices)))
@@ -295,6 +500,17 @@ class Arborescence(StructureDefinition):
         for v in self.vertices:
             if v != root and v not in heads:
                 raise InfeasibleGraphError(f"vertex {v!r} has no incoming edges")
+
+    @classmethod
+    def from_config(cls, spec):
+        directed, n_vertices, edges, root = parse_graph_file(spec["graph"])
+        if not directed:
+            raise ConfigError(f"{cls.kind} needs a directed graph")
+        if "root" in spec:
+            root = as_int(spec["root"], "structure.root")
+        if root is None:
+            raise ConfigError(f"{cls.kind} needs a root (file or config)")
+        return cls(range(n_vertices), edges, root)
 
     def initial_state(self):
         supernodes = tuple(frozenset((v,)) for v in self.vertices)
@@ -398,108 +614,15 @@ class Arborescence(StructureDefinition):
     def encode_value(self, value):
         return tuple(sorted(value))
 
+    def decode_value(self, doc):
+        return _edges_from_json(doc)
+
     def validate_value(self, value):
-        return validate(
-            value, "arborescence", vertices=self.vertices, root=self.root
-        )
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _fail(reason: str) -> ValidationResult:
-    return ValidationResult(False, reason)
-
-
-_OK = ValidationResult(True)
-
-
-def _tree_nodes_inorder(tree) -> list:
-    out = []
-    stack = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node is None:
-            continue
-        if expanded:
-            out.append(node.key)
-        else:
-            stack.append((node.right, False))
-            stack.append((node, True))
-            stack.append((node.left, False))
-    return out
-
-
-def validate(value, kind: str, **params) -> ValidationResult:
-    """Check a structure value against its kind's invariants.
-
-    Returns the first violated invariant as a diagnostic.  Required
-    params: subset(keys, k), permutation(keys), matching(n),
-    binary_tree(n), spanning_tree(vertices), arborescence(vertices, root).
-    """
-    if kind == "subset":
-        keys, k = set(params["keys"]), params["k"]
-        if len(value) != k:
-            return _fail(f"subset has {len(value)} elements, expected {k}")
-        if not set(value) <= keys:
-            return _fail(f"subset contains unknown keys {set(value) - keys!r}")
-        return _OK
-    if kind == "permutation":
-        keys = tuple(params["keys"])
-        if len(value) != len(keys):
-            return _fail(f"permutation has {len(value)} entries, expected {len(keys)}")
-        if sorted(value) != sorted(keys):
-            return _fail("permutation is not a bijection on the keys")
-        return _OK
-    if kind == "matching":
-        n = params["n"]
-        rows = [r for r, _ in value]
-        cols = [c for _, c in value]
-        if sorted(rows) != list(range(n)):
-            return _fail("rows are not each used exactly once")
-        if sorted(cols) != list(range(n)):
-            return _fail("columns are not each used exactly once")
-        return _OK
-    if kind == "binary_tree":
-        n = params["n"]
-        if value is None:
-            return _fail("tree is empty")
-        inorder = _tree_nodes_inorder(value)
-        if len(inorder) != n or len(set(inorder)) != n:
-            return _fail(f"tree holds {len(inorder)} nodes, expected {n} distinct")
-        if inorder != sorted(inorder) or inorder != list(range(n)):
-            return _fail("in-order traversal does not recover the token order")
-        return _OK
-    if kind == "spanning_tree":
-        vertices = tuple(params["vertices"])
-        if len(value) != len(vertices) - 1:
-            return _fail(f"{len(value)} edges for {len(vertices)} vertices")
-        roots = {v: v for v in vertices}
-
-        def find(x):
-            while roots[x] != x:
-                roots[x] = roots[roots[x]]
-                x = roots[x]
-            return x
-
-        for u, v in value:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return _fail(f"edge ({u!r}, {v!r}) closes a cycle")
-            roots[ru] = rv
-        if len({find(v) for v in vertices}) != 1:
-            return _fail("edges do not span all vertices")
-        return _OK
-    if kind == "arborescence":
-        vertices, root = tuple(params["vertices"]), params["root"]
+        vertices, root = self.vertices, self.root
         indeg = {v: 0 for v in vertices}
-        for _u, v in value:
+        for u, v in value:
+            if u not in indeg or v not in indeg:
+                return _fail(f"edge ({u!r}, {v!r}) has an unknown endpoint")
             indeg[v] += 1
         if indeg[root] != 0:
             return _fail(f"root {root!r} has in-degree {indeg[root]}")
@@ -520,7 +643,13 @@ def validate(value, kind: str, **params) -> ValidationResult:
         if reached != set(vertices):
             return _fail(f"vertices {set(vertices) - reached!r} unreachable from the root")
         return _OK
-    raise InvalidArgumentError(f"unknown structure kind {kind!r}")
+
+
+KINDS = {
+    cls.kind: cls
+    for cls in (TopK, Argsort, Matching, BinaryTree, SpanningTree, Arborescence)
+}
+
 
 
 def _tree_links(tree) -> frozenset:

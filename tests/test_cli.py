@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from stochinv.cli import main, parse_graph_file
+from stochinv.cli import main
+from stochinv.structures import parse_graph_file
 
 
 def run_cli(*argv):
@@ -528,4 +529,90 @@ class TestConfigHandling:
         assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert "n_samples = 2" in err and "K = 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"structure": {"kind": "top_k", "d": 3.9, "k": 2}}, "structure.d"),
+            ({"structure": {"kind": "top_k", "d": 3, "k": True}}, "structure.k"),
+            ({"seed": 3.7}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"max_traces": 100.5}, "max_traces"),
+        ],
+    )
+    def test_non_integral_integer_field_is_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                   fields, name):
+        # Booleans and fractional numbers were truncated to ints and ran.
+        monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
+        config = {"structure": {"kind": "top_k", "d": 3, "k": 2}, "seed": 0}
+        cfg = write_config(tmp_path, **{**config, **fields})
+        assert run_cli("enumerate", "--config", cfg) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+
+    def test_integral_floats_and_integer_strings_are_accepted(self, tmp_path):
+        plain = write_config(
+            tmp_path, name="plain.json",
+            structure={"kind": "top_k", "d": 3, "k": 2}, seed=3,
+        )
+        spelled = write_config(
+            tmp_path, name="spelled.json",
+            structure={"kind": "top_k", "d": 3.0, "k": "2"}, seed="3",
+        )
+        outs = []
+        for cfg in (plain, spelled):
+            outs.append(tmp_path / f"{len(outs)}.jsonl")
+            assert run_cli("sample", "--config", cfg, "-n", "5", "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["variance", "fit"])
+    @pytest.mark.parametrize("target", [[0], [0, 7]])
+    def test_invalid_target_is_exit_2_in_both_commands(self, tmp_path, capsys,
+                                                        command, target):
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 2},
+            estimators=[{"kind": "t_reinforce"}],
+            n_samples=4,
+            optimizer={"iterations": 1},
+            fit={"target": target},
+            seed=0,
+        )
+        assert run_cli(command, "--config", cfg) == 2
+        assert "fit.target is not a valid structure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["variance", "fit"])
+    def test_target_with_unknown_vertex_is_exit_2(self, tmp_path, capsys, command):
+        graph = write_graph(tmp_path, K4_UNDIRECTED)
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "spanning_tree", "graph": graph},
+            estimators=[{"kind": "t_reinforce"}],
+            n_samples=4,
+            optimizer={"iterations": 1},
+            fit={"target": [[0, 1], [1, 2], [2, 9]]},
+            seed=0,
+        )
+        assert run_cli(command, "--config", cfg) == 2
+        assert "unknown endpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["variance", "fit"])
+    def test_leave_one_out_budget_not_a_multiple_of_k_is_exit_2(self, tmp_path, capsys,
+                                                                 command):
+        # Whole batches of K = 4 would spend 4 of the 7 evaluations.
+        spec = {"kind": "e_reinforce_plus", "K": 4}
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            estimators=[spec],
+            estimator={**spec, "n_samples": 7},
+            n_samples=7,
+            optimizer={"iterations": 1},
+            fit={"target": [0]},
+            seed=0,
+        )
+        out = tmp_path / "out.csv"
+        assert run_cli(command, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "n_samples = 7" in err and "K = 4" in err and "multiple" in err
         assert not out.exists()

@@ -1,0 +1,95 @@
+"""Conformance of every registered structure kind.
+
+Each class in ``structures.KINDS`` is built from a literal config spec and
+checked against what the CLI needs of it (its kind name, the inverse of
+its JSON encoding, value validation) and against the
+``StructureDefinition`` contract at every state its recursion reaches.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stochinv import ThetaVector, enumerate_distribution, run_struct, sample_utilities
+from stochinv.cli import _structure_doc, build_structure
+from stochinv.structures import KINDS
+from conftest import seeded_theta
+
+SPECS = {
+    "top_k": {"d": 4, "k": 2},
+    "argsort": {"d": 4},
+    "matching": {"n": 3},
+    "binary_tree": {"n": 4},
+    "spanning_tree": {
+        "graph": "graph undirected 4\n"
+        + "".join(f"{u} {v}\n" for u in range(4) for v in range(u + 1, 4))
+    },
+    "arborescence": {
+        "graph": "graph directed 4\nroot 0\n"
+        + "".join(f"{u} {v}\n" for u in range(4) for v in range(4) if u != v)
+    },
+}
+
+
+@pytest.fixture(params=sorted(KINDS))
+def instance(request, tmp_path):
+    """(kind, literal spec with graph text written to a file, definition)."""
+    kind = request.param
+    spec = dict(SPECS[kind])
+    if "graph" in spec:
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(spec["graph"])
+        spec["graph"] = str(path)
+    return kind, spec, KINDS[kind].from_config(spec)
+
+
+def test_every_kind_has_a_spec():
+    assert sorted(SPECS) == sorted(KINDS)
+
+
+def test_from_config_returns_the_kinds_class(instance):
+    kind, spec, sdef = instance
+    assert type(sdef) is KINDS[kind]
+    assert KINDS[sdef.kind] is type(sdef)
+    assert type(build_structure({"structure": {"kind": kind, **spec}})) is KINDS[kind]
+
+
+def test_sampled_values_decode_from_their_json_and_validate(instance):
+    _kind, _spec, sdef = instance
+    theta = seeded_theta(sdef, 8)
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        x, _trace = run_struct(sdef, sample_utilities(theta, rng))
+        doc = json.loads(json.dumps(_structure_doc(sdef, x)))
+        assert sdef.decode_value(doc) == x
+        result = sdef.validate_value(x)
+        assert result.ok, result.reason
+
+
+def test_recursion_contract_at_every_reachable_state(instance):
+    # The enumerated traces reach every state the recursion can reach.
+    _kind, _spec, sdef = instance
+    dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+    for entry in dist.entries:
+        K, R = sdef.initial_state()
+        for level in entry.trace.levels:
+            assert not sdef.stop(K, R)
+            parts = sdef.split(K, R)
+            assert sdef.split(K, R) == parts
+            flat = [k for P in parts for k in P]
+            assert all(parts) and len(flat) == len(set(flat)) and set(flat) == K
+            assert all(w in parts[pi] for pi, w in level)
+            K_next, R = sdef.map(K, R, [w for _pi, w in level])
+            assert K_next < K
+            K = K_next
+        assert sdef.stop(K, R)
+        assert sdef.stop(frozenset(), R)
+
+
+def test_readme_lists_exactly_the_registered_kinds():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme.split("Structure kinds", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)` \(", paragraph)) == sorted(KINDS)

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from stochinv import (
     InvalidParameterError,
     ThetaVector,
-    Utilities,
     ks_exponential,
-    rates_from_theta,
-    reparam_diag,
     sample_utilities,
     sample_utilities_matrix,
 )
@@ -38,20 +35,6 @@ class TestThetaVector:
         new = theta.replace([1.0, 2.0])
         assert new.mask.tolist() == [False, True]
         assert new.theta.tolist() == [1.0, 2.0]
-
-
-class TestRates:
-    def test_zero_theta_gives_unit_rate(self):
-        theta = ThetaVector(("a",), [0.0])
-        assert rates_from_theta(theta)["a"] == 1.0
-
-    def test_negative_log_two_gives_rate_two(self):
-        theta = ThetaVector(("a",), [-math.log(2.0)])
-        assert rates_from_theta(theta)["a"] == pytest.approx(2.0, rel=1e-15)
-
-    def test_masked_key_gets_infinite_sentinel(self):
-        theta = ThetaVector(("a", "b"), [0.0, 0.0], [False, True])
-        assert rates_from_theta(theta)["b"] == np.inf
 
 
 class TestSampling:
@@ -97,11 +80,6 @@ class TestSampling:
 
 
 class TestReparamDiag:
-    def test_equals_the_sample_itself(self):
-        u = Utilities(("a", "b"), [0.7, 0.0])
-        d = reparam_diag(u)
-        assert d.values.tolist() == [0.7, 0.0]
-
     def test_matches_frozen_noise_finite_differences(self):
         # E(theta) = eps * exp(theta) with eps frozen; central differences.
         rng = np.random.default_rng(5)

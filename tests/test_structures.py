@@ -27,22 +27,21 @@ from stochinv import (
     hamming_distance,
     run_struct,
     sample_utilities,
-    validate,
 )
 from conftest import complete_digraph, complete_graph, seeded_theta
 
 
 def all_spanning_trees(vertices, edges):
-    n = len(vertices)
-    for subset in itertools.combinations(edges, n - 1):
-        if validate(frozenset(subset), "spanning_tree", vertices=vertices):
+    sdef = SpanningTree(vertices, edges)
+    for subset in itertools.combinations(edges, len(vertices) - 1):
+        if sdef.validate_value(frozenset(subset)):
             yield frozenset(subset)
 
 
 def all_arborescences(vertices, edges, root):
-    n = len(vertices)
-    for subset in itertools.combinations(edges, n - 1):
-        if validate(frozenset(subset), "arborescence", vertices=vertices, root=root):
+    sdef = Arborescence(vertices, edges, root)
+    for subset in itertools.combinations(edges, len(vertices) - 1):
+        if sdef.validate_value(frozenset(subset)):
             yield frozenset(subset)
 
 
@@ -347,29 +346,33 @@ class TestValidate:
                 assert result.ok, result.reason
 
     def test_valid_spanning_tree(self):
-        ok = validate(
-            frozenset({(0, 1), (1, 2)}), "spanning_tree", vertices=(0, 1, 2)
-        )
-        assert ok
+        sdef = SpanningTree((0, 1, 2), complete_graph(3))
+        assert sdef.validate_value(frozenset({(0, 1), (1, 2)}))
 
     def test_double_in_degree_names_vertex(self):
         bad = frozenset({(0, 1), (2, 1), (1, 2)})
-        result = validate(bad, "arborescence", vertices=(0, 1, 2), root=0)
+        result = Arborescence((0, 1, 2), complete_digraph(3), 0).validate_value(bad)
         assert not result.ok
         assert "1" in result.reason
 
     def test_bad_inorder_rejected(self):
         tree = TreeNode(1, TreeNode(2, None, None), TreeNode(0, None, None))
-        result = validate(tree, "binary_tree", n=3)
+        result = BinaryTree(3).validate_value(tree)
         assert not result.ok
 
     def test_cycle_edge_rejected(self):
         bad = frozenset({(0, 1), (1, 2), (0, 2)})
-        result = validate(bad, "spanning_tree", vertices=(0, 1, 2, 3))
+        result = SpanningTree(range(4), complete_graph(4)).validate_value(bad)
         assert not result.ok
 
+    def test_unknown_endpoint_rejected_not_raised(self):
+        bad = frozenset({(0, 1), (1, 5)})
+        result = Arborescence((0, 1, 2), complete_digraph(3), 0).validate_value(bad)
+        assert not result.ok
+        assert "(1, 5)" in result.reason
+
     def test_wrong_subset_size(self):
-        result = validate(frozenset({0}), "subset", keys=(0, 1, 2), k=2)
+        result = TopK(3, 2).validate_value(frozenset({0}))
         assert not result.ok
 
 
