@@ -398,18 +398,32 @@ class CondBuildRecord:
     tail: tuple    # of (key: int, noise: float)
 
 
+def _on_lists(fn, *arrays):
+    """``fn`` on the arrays as Python lists, whose float arithmetic is the
+    same IEEE operations as on numpy scalars, only faster.  Where a rate or
+    a squared rate sum underflows to 0, Python raises on the division, so
+    ``fn`` runs again on the arrays, whose scalars divide to inf or nan."""
+    try:
+        return fn(*[a.tolist() for a in arrays])
+    except ZeroDivisionError:
+        return fn(*arrays)
+
+
 def _accumulate(record: CondBuildRecord, rates: np.ndarray, n: int) -> np.ndarray:
-    values = np.zeros(n)
-    for k, eps in record.tail:
-        values[k] = eps / rates[k]
-    for w, eps, keys in reversed(record.events):
-        s = 0.0
-        for k in keys:
-            s += rates[k]
-        m = eps / s
-        for k in keys:
-            values[k] += m
-    return values
+    def on(rates):
+        values = [0.0] * n
+        for k, eps in record.tail:
+            values[k] = eps / rates[k]
+        for w, eps, keys in reversed(record.events):
+            s = 0.0
+            for k in keys:
+                s += rates[k]
+            m = eps / s
+            for k in keys:
+                values[k] += m
+        return values
+
+    return np.array(_on_lists(on, rates), dtype=np.float64)
 
 
 def replay_conditional(record: CondBuildRecord, theta: ThetaVector) -> Utilities:
@@ -476,17 +490,19 @@ def cond_jacobian_vjp(record: CondBuildRecord, theta: ThetaVector, v) -> Gradien
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (len(theta.keys),):
         raise InvalidArgumentError("v has the wrong length")
-    rates = np.exp(-theta.theta)
-    out = np.zeros(len(theta.keys))
-    for _w, eps, keys in record.events:
-        s = 0.0
-        vsum = 0.0
-        for k in keys:
-            s += rates[k]
-            vsum += v[k]
-        coeff = vsum * eps / (s * s)
-        for k in keys:
-            out[k] += coeff * rates[k]
-    for k, eps in record.tail:
-        out[k] += v[k] * eps / rates[k]
-    return GradientVector(theta.keys, out)
+    def on(rates, v):
+        out = [0.0] * len(v)
+        for _w, eps, keys in record.events:
+            s = 0.0
+            vsum = 0.0
+            for k in keys:
+                s += rates[k]
+                vsum += v[k]
+            coeff = vsum * eps / (s * s)
+            for k in keys:
+                out[k] += coeff * rates[k]
+        for k, eps in record.tail:
+            out[k] += v[k] * eps / rates[k]
+        return out
+
+    return GradientVector(theta.keys, _on_lists(on, np.exp(-theta.theta), v))

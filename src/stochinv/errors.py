@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all stochinv modules, and config field parsers."""
 
+import math
 from numbers import Integral
 
 
@@ -64,7 +65,16 @@ def as_int(value, field: str) -> int:
 
 
 def as_float(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a number, got {value!r}") from None
+    """``value`` as a finite float; numeric strings are accepted.
+
+    Booleans, NaN and infinities are rejected rather than coerced.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{field} must be a finite number, got {value!r}")

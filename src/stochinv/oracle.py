@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     StructureDefinition,
@@ -271,6 +270,8 @@ def chi_square_fit(observed_counts: Mapping, dist: EnumeratedDistribution):
     if dof < 1:
         return 0.0, 1.0
     statistic = math.fsum((o - e) ** 2 / e for o, e in cells)
+    from scipy import stats  # here, not at module top: only these helpers need it
+
     return statistic, float(stats.chi2.sf(statistic, dof))
 
 
@@ -288,5 +289,7 @@ def ks_exponential(samples, rate: float):
         )
     if np.any(samples < -1e-12):
         raise InvalidArgumentError("samples must be nonnegative")
+    from scipy import stats  # here, not at module top: only these helpers need it
+
     result = stats.kstest(samples, "expon", args=(0.0, 1.0 / rate))
     return float(result.statistic), float(result.pvalue)

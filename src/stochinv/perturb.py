@@ -62,7 +62,9 @@ class Utilities(KeyedVector):
 
     def __init__(self, keys, values):
         super().__init__(keys, values)
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
+        # One reduction each: NaN fails both comparisons, -0.0 passes.
+        v = self.values
+        if v.size and not (v.min() >= 0.0 and v.max() < np.inf):
             raise InvalidParameterError("utilities must be finite and nonnegative")
 
 

@@ -296,6 +296,14 @@ def _tree_nodes_inorder(tree) -> list:
     return out
 
 
+def _graph_of(spec):
+    """Parse the graph file a config spec names in ``structure.graph``."""
+    path = spec["graph"]
+    if not isinstance(path, str):
+        raise ConfigError(f"structure.graph must be a file path, got {path!r}")
+    return parse_graph_file(path)
+
+
 def parse_graph_file(path: str):
     """Parse the line-oriented graph format.
 
@@ -369,10 +377,14 @@ def parse_graph_file(path: str):
 class SpanningTree(StructureDefinition):
     """A spanning tree of an undirected graph, grown greedily edge by edge.
 
-    The auxiliary state maps each vertex to its component root.  The
-    minimum surviving edge merges two components; edges that become
-    internal disappear.  A partition that empties while several components
-    remain means the graph was disconnected.
+    The auxiliary state is ``(labels, count)``: ``labels[i]`` is the
+    component label of the vertex at position ``i`` of ``vertices`` (the
+    position of the component's smallest vertex) and ``count`` is the
+    number of components.  The minimum surviving edge merges two
+    components under the smaller label; edges that become internal
+    disappear.  ``_u``/``_v`` hold each edge's endpoint positions.  A
+    partition that empties while several components remain means the
+    graph was disconnected.
     """
 
     kind = "spanning_tree"
@@ -394,17 +406,20 @@ class SpanningTree(StructureDefinition):
             seen.add(edge)
             labels.append(edge)
         self.key_labels = tuple(sorted(labels))
+        position = {x: i for i, x in enumerate(self.vertices)}
+        self._u = [position[u] for u, _ in self.key_labels]
+        self._v = [position[v] for _, v in self.key_labels]
 
     @classmethod
     def from_config(cls, spec):
-        directed, n_vertices, edges, _root = parse_graph_file(spec["graph"])
+        directed, n_vertices, edges, _root = _graph_of(spec)
         if directed:
             raise ConfigError(f"{cls.kind} needs an undirected graph")
         return cls(range(n_vertices), edges)
 
     def initial_state(self):
-        roots = {v: v for v in self.vertices}
-        return frozenset(range(len(self.key_labels))), (roots, len(self.vertices))
+        n = len(self.vertices)
+        return frozenset(range(len(self.key_labels))), (tuple(range(n)), n)
 
     def stop(self, K, R):
         return R[1] <= 1
@@ -417,16 +432,13 @@ class SpanningTree(StructureDefinition):
         return [tuple(sorted(K))]
 
     def map(self, K, R, winners):
-        roots, count = R
-        u, v = self.key_labels[winners[0]]
-        ru, rv = roots[u], roots[v]
-        merged = min(ru, rv)
-        new_roots = {x: merged if r in (ru, rv) else r for x, r in roots.items()}
-        keep = frozenset(
-            k for k in K
-            if new_roots[self.key_labels[k][0]] != new_roots[self.key_labels[k][1]]
-        )
-        return keep, (new_roots, count - 1)
+        labels, count = R
+        u, v = self._u, self._v
+        a, b = labels[u[winners[0]]], labels[v[winners[0]]]
+        merged, dropped = min(a, b), max(a, b)
+        new = tuple([merged if x == dropped else x for x in labels])
+        keep = frozenset([k for k in K if new[u[k]] != new[v[k]]])
+        return keep, (new, count - 1)
 
     def combine(self, child, K, R, winners):
         return (child or frozenset()) | {self.key_labels[winners[0]]}
@@ -475,6 +487,11 @@ class Arborescence(StructureDefinition):
     exactly 0, so they win again deterministically until the recursion
     unwinds; expanding a cycle keeps all its edges but the one displaced
     by the edge entering from outside.
+
+    The auxiliary state is the tuple of super-nodes, each a frozenset of
+    vertices, ordered by smallest vertex; the root's super-node stays
+    ``{root}``, since no cycle passes through the root.  ``_tail``/``_head``
+    hold each edge's endpoint vertices.
     """
 
     kind = "arborescence"
@@ -496,14 +513,16 @@ class Arborescence(StructureDefinition):
                 continue  # can never join an arborescence
             labels.append((u, v))
         self.key_labels = tuple(sorted(labels))
-        heads = {v for _, v in self.key_labels}
+        self._tail = [u for u, _ in self.key_labels]
+        self._head = [v for _, v in self.key_labels]
+        heads = set(self._head)
         for v in self.vertices:
             if v != root and v not in heads:
                 raise InfeasibleGraphError(f"vertex {v!r} has no incoming edges")
 
     @classmethod
     def from_config(cls, spec):
-        directed, n_vertices, edges, root = parse_graph_file(spec["graph"])
+        directed, n_vertices, edges, root = _graph_of(spec)
         if not directed:
             raise ConfigError(f"{cls.kind} needs a directed graph")
         if "root" in spec:
@@ -519,18 +538,13 @@ class Arborescence(StructureDefinition):
     def stop(self, K, R):
         return not K or len(R) == 1
 
-    def _nonroot(self, R):
-        return [S for S in R if self.root not in S]
-
     def split(self, K, R):
-        vertex_slot = {}
-        targets = self._nonroot(R)
-        for i, S in enumerate(targets):
-            for v in S:
-                vertex_slot[v] = i
+        targets = [S for S in R if self.root not in S]
+        slot = {v: i for i, S in enumerate(targets) for v in S}
         buckets = [[] for _ in targets]
+        head = self._head
         for k in sorted(K):
-            buckets[vertex_slot[self.key_labels[k][1]]].append(k)
+            buckets[slot[head[k]]].append(k)
         parts = [tuple(b) for b in buckets]
         for S, P in zip(targets, parts):
             if not P:
@@ -546,18 +560,13 @@ class Arborescence(StructureDefinition):
         its winning edge's tail; the root has no pointer, so any cycle
         avoids it.  Returns the cycle as a list of indices into R.
         """
-        targets = self._nonroot(R)
-        slot_of = {S: i for i, S in enumerate(R)}
-        vertex_slot = {}
-        for i, S in enumerate(R):
-            for v in S:
-                vertex_slot[v] = i
-        pointer = {}
-        for S, w in zip(targets, winners):
-            tail = self.key_labels[w][0]
-            pointer[slot_of[S]] = vertex_slot[tail]
+        slot = {v: i for i, S in enumerate(R) for v in S}
+        root_slot = slot[self.root]
+        tail = self._tail
+        nonroot = (i for i in range(len(R)) if i != root_slot)
+        pointer = {i: slot[tail[w]] for i, w in zip(nonroot, winners)}
         state = {}
-        for start in sorted(pointer):
+        for start in pointer:
             if state.get(start) == "done":
                 continue
             path = []
@@ -577,12 +586,12 @@ class Arborescence(StructureDefinition):
         if cycle is None:
             return frozenset(), R
         loop_vertices = frozenset().union(*(R[i] for i in cycle))
-        keep = frozenset(
-            k for k in K
-            if not (self.key_labels[k][0] in loop_vertices
-                    and self.key_labels[k][1] in loop_vertices)
-        )
-        merged = [S for i, S in enumerate(R) if i not in set(cycle)]
+        tail, head = self._tail, self._head
+        keep = frozenset([
+            k for k in K if not (tail[k] in loop_vertices and head[k] in loop_vertices)
+        ])
+        in_cycle = set(cycle)
+        merged = [S for i, S in enumerate(R) if i not in in_cycle]
         merged.append(loop_vertices)
         merged.sort(key=min)
         return keep, tuple(merged)

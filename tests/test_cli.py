@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochinv
 from stochinv.cli import main
 from stochinv.structures import parse_graph_file
 
@@ -423,6 +428,11 @@ class TestConfigHandling:
             ({"theta": {"init": "constant", "value": "z"}}, "theta.value"),
             ({"theta": {"init": "random", "low": "z"}}, "theta.low"),
             ({"optimizer": {"iterations": 2, "step_size": [0.1]}}, "optimizer.step_size"),
+            # Booleans ran as 0/1; a non-finite step was blamed on theta.
+            ({"theta": {"init": "constant", "value": True}}, "theta.value"),
+            ({"theta": {"init": "random", "high": False}}, "theta.high"),
+            ({"optimizer": {"iterations": 2, "step_size": "nan"}}, "optimizer.step_size"),
+            ({"optimizer": {"iterations": 2, "beta1": math.inf}}, "optimizer.beta1"),
         ],
     )
     def test_non_numeric_float_field_is_exit_2(self, tmp_path, capsys, fields, name):
@@ -447,6 +457,16 @@ class TestConfigHandling:
         )
         assert run_cli("variance", "--config", cfg) == 2
         assert "estimators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["enumerate", "sample"])
+    @pytest.mark.parametrize("kind", ["spanning_tree", "arborescence"])
+    @pytest.mark.parametrize("graph", [None, 3])
+    def test_non_string_graph_is_exit_2(self, tmp_path, capsys, command, kind, graph):
+        # null reached open() as a TypeError; an integer would open a file descriptor.
+        cfg = write_config(tmp_path, structure={"kind": kind, "graph": graph}, seed=0)
+        extra = ["-n", "1"] if command == "sample" else []
+        assert run_cli(command, "--config", cfg, *extra) == 2
+        assert "structure.graph" in capsys.readouterr().err
 
     def test_negative_iterations_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -616,3 +636,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "n_samples = 7" in err and "K = 4" in err and "multiple" in err
         assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the goodness-of-fit helpers
+    # (condcheck) use it, so they load it on first call.
+    src = str(Path(stochinv.__file__).resolve().parent.parent)
+    code = "import sys, stochinv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

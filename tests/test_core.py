@@ -341,6 +341,19 @@ class TestConditionalJacobian:
                     fd, rel=1e-4, abs=1e-10
                 )
 
+    def test_underflowing_rates_divide_to_inf_not_raise(self):
+        # exp(-400) squared underflows to 0 and exp(-760) is 0 itself: the
+        # divisions give inf/nan as numpy does, and a zero rate leaves the
+        # sample infinite, which Utilities rejects.
+        from stochinv import CondBuildRecord, InvalidParameterError
+
+        rec = CondBuildRecord((0, 1), ((0, 1.0, (0, 1)),), ((1, 2.0),))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = cond_jacobian_vjp(rec, ThetaVector((0, 1), [400.0, 400.0]), [1.0, 0.0])
+            assert out.values.tolist() == [math.inf, math.inf]
+            with pytest.raises(InvalidParameterError):
+                replay_conditional(rec, ThetaVector((0, 1), [0.0, 760.0]))
+
 
 class TestRecordedWalk:
     """A trace from ``run_struct`` carries its walk; ``Trace(t.levels)`` does not."""

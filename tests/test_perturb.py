@@ -14,7 +14,7 @@ from stochinv import (
     sample_utilities,
     sample_utilities_matrix,
 )
-from stochinv.perturb import unit_exponential
+from stochinv.perturb import Utilities, unit_exponential
 
 
 class TestThetaVector:
@@ -35,6 +35,18 @@ class TestThetaVector:
         new = theta.replace([1.0, 2.0])
         assert new.mask.tolist() == [False, True]
         assert new.theta.tolist() == [1.0, 2.0]
+
+
+class TestUtilities:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -1.0])
+    def test_nonfinite_or_negative_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            Utilities(("a", "b", "c"), [0.5, bad, 2.0])
+
+    @pytest.mark.parametrize("values", [[-0.0], [], [0.0, 5e-324, 1e308]])
+    def test_negative_zero_empty_and_extremes_accepted(self, values):
+        u = Utilities(tuple(range(len(values))), values)
+        assert u.values.tolist() == values
 
 
 class TestSampling:

@@ -333,6 +333,119 @@ class TestArborescence:
             )
 
 
+def _ref_spanning_tree_map(sdef, K, roots, winners):
+    """The vertex -> component-root rule, filtered through edge labels."""
+    u, v = sdef.key_labels[winners[0]]
+    ru, rv = roots[u], roots[v]
+    merged = min(ru, rv)
+    new_roots = {x: merged if r in (ru, rv) else r for x, r in roots.items()}
+    keep = frozenset(
+        k for k in K
+        if new_roots[sdef.key_labels[k][0]] != new_roots[sdef.key_labels[k][1]]
+    )
+    return keep, new_roots
+
+
+def _ref_arborescence_split(sdef, K, R):
+    """Buckets by the head vertex read from each edge label."""
+    targets = [S for S in R if sdef.root not in S]
+    slot = {v: i for i, S in enumerate(targets) for v in S}
+    buckets = [[] for _ in targets]
+    for k in sorted(K):
+        buckets[slot[sdef.key_labels[k][1]]].append(k)
+    return [tuple(b) for b in buckets]
+
+
+def _ref_arborescence_map(sdef, K, R, winners):
+    """Super-node pointers and contracted edges read from edge labels."""
+    slot = {v: i for i, S in enumerate(R) for v in S}
+    targets = [i for i, S in enumerate(R) if sdef.root not in S]
+    pointer = {i: slot[sdef.key_labels[w][0]] for i, w in zip(targets, winners)}
+    cycle = None
+    done = set()
+    for start in sorted(pointer):
+        path, node = [], start
+        while node in pointer and node not in done and node not in path:
+            path.append(node)
+            node = pointer[node]
+        if node in path:
+            cycle = path[path.index(node):]
+            break
+        done.update(path)
+    if cycle is None:
+        return frozenset(), R
+    loop = frozenset().union(*(R[i] for i in cycle))
+    keep = frozenset(
+        k for k in K
+        if not (sdef.key_labels[k][0] in loop and sdef.key_labels[k][1] in loop)
+    )
+    merged = sorted([S for i, S in enumerate(R) if i not in cycle] + [loop], key=min)
+    return keep, tuple(merged)
+
+
+def _components(vertices, label_of):
+    groups = {}
+    for x in vertices:
+        groups.setdefault(label_of(x), set()).add(x)
+    return sorted(sorted(g) for g in groups.values())
+
+
+SPARSE = (2, 5, 7, 11)  # vertex labels that are not their positions
+
+
+class TestGraphKindsMatchLabelReference:
+    """The index-list split/map of the graph kinds against label-based rules,
+    at every state of every enumerated trace."""
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            (range(5), complete_graph(5)),
+            (SPARSE, [(SPARSE[i], SPARSE[j]) for i, j in complete_graph(4)]),
+        ],
+        ids=["K5", "sparse-labels"],
+    )
+    def test_spanning_tree(self, vertices, edges):
+        sdef = SpanningTree(vertices, edges)
+        dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+        for entry in dist.entries:
+            K, R = sdef.initial_state()
+            roots = {x: x for x in sdef.vertices}
+            for level in entry.trace.levels:
+                assert sdef.split(K, R) == [tuple(sorted(K))]
+                winners = [w for _pi, w in level]
+                ref_K, roots = _ref_spanning_tree_map(sdef, K, roots, winners)
+                K, R = sdef.map(K, R, winners)
+                assert K == ref_K
+                labels, count = R
+                assert _components(range(len(sdef.vertices)), labels.__getitem__) == [
+                    [sdef.vertices.index(x) for x in g]
+                    for g in _components(sdef.vertices, roots.__getitem__)
+                ]
+                assert count == len(set(roots.values()))
+
+    @pytest.mark.parametrize(
+        "vertices, edges, root",
+        [
+            (range(5), complete_digraph(5), 0),
+            (SPARSE, [(SPARSE[i], SPARSE[j]) for i, j in complete_digraph(4)], 7),
+        ],
+        ids=["K5", "sparse-labels"],
+    )
+    def test_arborescence(self, vertices, edges, root):
+        sdef = Arborescence(vertices, edges, root)
+        dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+        assert any(len(e.trace.levels) > 1 for e in dist.entries)
+        for entry in dist.entries:
+            K, R = sdef.initial_state()
+            for level in entry.trace.levels:
+                assert sdef.split(K, R) == _ref_arborescence_split(sdef, K, R)
+                winners = [w for _pi, w in level]
+                expected = _ref_arborescence_map(sdef, K, R, winners)
+                K, R = sdef.map(K, R, winners)
+                assert (K, R) == expected
+
+
 class TestValidate:
     def test_sampled_values_always_validate(self):
         from conftest import representative_instances
