@@ -1,9 +1,14 @@
 """Command-line front end: enumerate | sample | variance | fit | condcheck.
 
 All commands read a single JSON config document; --seed/--out/--format
-override the matching fields.  Outputs are machine-readable (JSON or CSV
-with 17 significant digits) and byte-identical under a fixed seed.  Exit
-codes: 0 success, 2 config or input error, 1 internal invariant violation.
+override the matching fields.  ``main`` does the setup all commands
+share: it loads the config, reads the shared fields (seed, out, format,
+-n), builds the structure, spawns the seed streams and builds theta, then
+calls the command named in ``COMMANDS`` and writes the text it returns.
+Config sections are read through ``_object`` and paths through ``as_path``.
+Outputs are machine-readable (JSON or CSV with 17 significant digits) and
+byte-identical under a fixed seed.  Exit codes: 0 success, 2 config or
+input error, 1 internal invariant violation.
 The environment variable STOCHINV_MAX_TRACES overrides the enumeration
 cap.
 """
@@ -17,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,6 +36,7 @@ from .errors import (
     StochinvError,
     as_float,
     as_int,
+    as_path,
 )
 from .perturb import ThetaVector, sample_utilities
 
@@ -53,12 +60,11 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _seed_streams(config: dict, n: int):
-    """``n`` independent seed sequences spawned from the config's ``seed``."""
-    seed = as_int(config.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    return np.random.SeedSequence(seed).spawn(n)
+def _object(value, field: str) -> dict:
+    """``value`` as a config section, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field} must be an object, got {value!r}")
+    return value
 
 
 def build_structure(config: dict):
@@ -109,15 +115,8 @@ def theta_to_json(theta: ThetaVector) -> dict:
     }
 
 
-def theta_from_json(doc: dict, sdef) -> ThetaVector:
-    keys = tuple(_label_from_json(k) for k in doc["keys"])
-    if keys != sdef.key_labels:
-        raise ConfigError("theta file keys do not match the configured structure")
-    return ThetaVector(keys, doc["theta"], doc.get("mask"))
-
-
 def build_theta(config: dict, sdef, rng) -> ThetaVector:
-    spec = config.get("theta", {"init": "constant", "value": 0.0})
+    spec = _object(config.get("theta", {}), "theta")
     init = spec.get("init", "constant")
     if init == "constant":
         value = as_float(spec.get("value", 0.0), "theta.value")
@@ -125,22 +124,33 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
     if init == "random":
         low = as_float(spec.get("low", -1.0), "theta.low")
         high = as_float(spec.get("high", 1.0), "theta.high")
-        if not low <= high:
-            raise ConfigError(f"theta range [{low}, {high}] is empty")
+        if not (low <= high and math.isfinite(high - low)):
+            raise ConfigError(
+                f"theta.low and theta.high must bound a finite range, got [{low}, {high}]"
+            )
         values = rng.uniform(low, high, sdef.n_keys)
         return ThetaVector(sdef.key_labels, values)
     if init == "file":
+        path = as_path(spec.get("path"), "theta.path")
         try:
-            with open(spec["path"], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ConfigError(f"cannot read theta file: {exc}") from exc
-        return theta_from_json(doc, sdef)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read theta file {path}: {exc}") from exc
+        if not (isinstance(doc, dict) and isinstance(doc.get("keys"), list)
+                and "theta" in doc):
+            raise ConfigError(f"theta file {path} must be an object with 'keys' and 'theta'")
+        if tuple(_label_from_json(k) for k in doc["keys"]) != sdef.key_labels:
+            raise ConfigError(f"theta file {path}: keys do not match the configured structure")
+        try:
+            return ThetaVector(sdef.key_labels, doc["theta"], doc.get("mask"))
+        except (TypeError, ValueError, InvalidParameterError) as exc:
+            raise ConfigError(f"theta file {path}: {exc}") from exc
     raise ConfigError(f"unknown theta init {init!r}")
 
 
-def decode_target(config: dict, sdef):
-    fit = config.get("fit", {})
+def decode_target(fit: dict, sdef):
+    """The structure the ``fit`` section names in ``fit.target``."""
     if "target" not in fit:
         raise ConfigError("fit needs a 'fit.target' structure")
     try:
@@ -168,7 +178,7 @@ def build_estimator_runner(spec: dict, field: str, n: int):
     ``field`` names ``spec`` in the config, for errors; each call of ``fn``
     spends ``n`` function evaluations.
     """
-    kind = spec.get("kind")
+    kind = _object(spec, field).get("kind")
     if kind == "e_reinforce":
         return kind, lambda sdef, theta, loss, rng: estimators.grad_e_reinforce(
             sdef, theta, loss, n, rng, keep_per_sample=True
@@ -201,11 +211,7 @@ def build_estimator_runner(spec: dict, field: str, n: int):
 
         return kind, run_loo
     if kind == "relax":
-        cv_spec = spec.get("control_variate", {"kind": "zero"})
-        if not isinstance(cv_spec, dict):
-            raise ConfigError(
-                f"{field}.control_variate must be an object, got {cv_spec!r}"
-            )
+        cv_spec = _object(spec.get("control_variate", {}), f"{field}.control_variate")
         cv_kind = cv_spec.get("kind", "zero")
         if cv_kind == "zero":
             cv_template = None
@@ -239,12 +245,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_output(text: str, out_path):
-    if out_path is None:
+def write_output(text: str, path, field: str):
+    """Write ``text`` to the file ``path`` (config field ``field``), or to stdout."""
+    if path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {field} {path}: {exc}") from exc
 
 
 def dump_json(doc) -> str:
@@ -259,6 +269,13 @@ def dump_csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _table(header, rows, fmt: str) -> str:
+    """``rows`` as CSV, or as a JSON list of objects keyed by ``header``."""
+    if fmt == "json":
+        return dump_json([dict(zip(header, row)) for row in rows])
+    return dump_csv(header, rows)
+
+
 def _trace_doc(sdef, trace):
     return [
         [[pi, _labels_to_json(label)] for pi, label in level]
@@ -270,18 +287,15 @@ def _structure_doc(sdef, value):
     return _labels_to_json(sdef.encode_value(value))
 
 
-def _marginal_key(sdef, encoded) -> str:
-    return json.dumps(_labels_to_json(encoded), separators=(",", ":"))
+def _label_key(label) -> str:
+    return json.dumps(_labels_to_json(label), separators=(",", ":"))
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
-def cmd_enumerate(config: dict, out, fmt: str) -> int:
-    sdef = build_structure(config)
-    theta_ss, _work_ss = _seed_streams(config, 2)
-    theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
+def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     dist = oracle.enumerate_distribution(sdef, theta, resolve_max_traces(config))
     total = dist.total_prob
     if abs(total - 1.0) > 1e-9:
@@ -298,9 +312,9 @@ def cmd_enumerate(config: dict, out, fmt: str) -> int:
             )
             for e in dist.entries
         ]
-        write_output(dump_csv(("trace", "log_prob", "prob", "structure"), rows), out)
-    else:
-        doc = {
+        return dump_csv(("trace", "log_prob", "prob", "structure"), rows)
+    return dump_json(
+        {
             "total_prob": total,
             "traces": [
                 {
@@ -312,21 +326,14 @@ def cmd_enumerate(config: dict, out, fmt: str) -> int:
                 for e in dist.entries
             ],
             "structure_marginals": {
-                _marginal_key(sdef, k): v
-                for k, v in dist.structure_marginals.items()
+                _label_key(k): v for k, v in dist.structure_marginals.items()
             },
         }
-        write_output(dump_json(doc), out)
-    return 0
+    )
 
 
-def cmd_sample(config: dict, n: int, out, fmt: str) -> int:
-    if n < 0:
-        raise ConfigError(f"sample count must be nonnegative, got {n}")
-    sdef = build_structure(config)
-    theta_ss, work_ss = _seed_streams(config, 2)
-    theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
-    rng = np.random.default_rng(work_ss)
+def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
+    rng = np.random.default_rng(streams[0])
     records = []
     for _ in range(n):
         e = sample_utilities(theta, rng)
@@ -347,19 +354,13 @@ def cmd_sample(config: dict, n: int, out, fmt: str) -> int:
             )
             for r in records
         ]
-        write_output(dump_csv(("structure", "trace", "log_prob"), rows), out)
-    else:
-        lines = [json.dumps(r, sort_keys=True) for r in records]
-        write_output("".join(line + "\n" for line in lines), out)
-    return 0
+        return dump_csv(("structure", "trace", "log_prob"), rows)
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
-def cmd_variance(config: dict, out, fmt: str) -> int:
-    sdef = build_structure(config)
-    theta_ss, work_ss = _seed_streams(config, 2)
-    theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
-    target = decode_target(config, sdef) if "fit" in config else None
-    if target is not None:
+def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
+    if "fit" in config:
+        target = decode_target(_object(config["fit"], "fit"), sdef)
         loss = lambda x: structures.hamming_distance(x, target)  # noqa: E731
     else:
         loss = _default_loss(sdef)
@@ -367,36 +368,21 @@ def cmd_variance(config: dict, out, fmt: str) -> int:
     if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
     budget = as_int(config.get("n_samples", 1000), "n_samples")
-    runners = []
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, dict):
-            raise ConfigError(f"estimators[{i}] must be an object, got {spec!r}")
-        runners.append(build_estimator_runner(spec, f"estimators[{i}]", budget))
+    runners = [
+        build_estimator_runner(spec, f"estimators[{i}]", budget)
+        for i, spec in enumerate(specs)
+    ]
     rows = []
     for name, runner in runners:
-        report = runner(sdef, theta, loss, np.random.default_rng(work_ss))
+        report = runner(sdef, theta, loss, np.random.default_rng(streams[0]))
         per = report.per_sample
         n_rows = per.shape[0]
         mean = per.mean(axis=0)
         var = per.var(axis=0, ddof=1) if n_rows > 1 else np.zeros(per.shape[1])
         stderr = np.sqrt(var / n_rows)
         for i, label in enumerate(sdef.key_labels):
-            rows.append(
-                (
-                    name,
-                    json.dumps(_labels_to_json(label), separators=(",", ":")),
-                    _fmt(mean[i]),
-                    _fmt(var[i]),
-                    _fmt(stderr[i]),
-                )
-            )
-    header = ("estimator", "coordinate", "mean", "variance", "stderr")
-    if fmt == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        write_output(dump_json(doc), out)
-    else:
-        write_output(dump_csv(header, rows), out)
-    return 0
+            rows.append((name, _label_key(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
+    return _table(("estimator", "coordinate", "mean", "variance", "stderr"), rows, fmt)
 
 
 def _default_loss(sdef):
@@ -429,19 +415,23 @@ class _Adam:
         return theta_values - self.step_size * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def cmd_fit(config: dict, out, fmt: str) -> int:
-    sdef = build_structure(config)
-    theta_ss, work_ss, track_ss = _seed_streams(config, 3)
-    theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
-    target = decode_target(config, sdef)
+def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
+    work_ss, track_ss = streams
+    fit = _object(config.get("fit", {}), "fit")
+    target = decode_target(fit, sdef)
     loss = lambda x: float(structures.hamming_distance(x, target))  # noqa: E731
-    track_samples = as_int(
-        config.get("fit", {}).get("track_samples", 32), "fit.track_samples"
-    )
+    track_samples = as_int(fit.get("track_samples", 32), "fit.track_samples")
     if track_samples < 2:
         raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
+    # The final theta goes to fit.theta_out, else next to the output file.
+    if fit.get("theta_out") is not None:
+        theta_out = (as_path(fit["theta_out"], "fit.theta_out"), "fit.theta_out")
+    elif config.get("out") is not None:
+        theta_out = (config["out"] + ".theta.json", "out")
+    else:
+        theta_out = None
 
-    opt_spec = config.get("optimizer", {})
+    opt_spec = _object(config.get("optimizer", {}), "optimizer")
     iterations = as_int(opt_spec.get("iterations", 1000), "optimizer.iterations")
     if iterations < 0:
         raise ConfigError(f"optimizer.iterations must be at least 0, got {iterations}")
@@ -450,9 +440,9 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
         beta1=as_float(opt_spec.get("beta1", 0.9), "optimizer.beta1"),
         beta2=as_float(opt_spec.get("beta2", 0.999), "optimizer.beta2"),
     )
-    est_spec = config.get("estimator", {"kind": "t_reinforce_plus", "K": 4})
-    if not isinstance(est_spec, dict):
-        raise ConfigError(f"estimator must be an object, got {est_spec!r}")
+    est_spec = _object(
+        config.get("estimator", {"kind": "t_reinforce_plus", "K": 4}), "estimator"
+    )
     # The budget per iteration defaults to K, one leave-one-out batch.
     budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
     per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
@@ -496,28 +486,14 @@ def cmd_fit(config: dict, out, fmt: str) -> int:
         rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(float(np.linalg.norm(grad)))))
         values = optimizer.update(values, grad)
 
-    header = ("iter", "expected_loss", "expected_loss_stderr", "gradient_norm")
-    if fmt == "json":
-        write_output(dump_json([dict(zip(header, r)) for r in rows]), out)
-    else:
-        write_output(dump_csv(header, rows), out)
-    theta_out = config.get("fit", {}).get("theta_out")
-    if theta_out is None and out is not None:
-        theta_out = str(out) + ".theta.json"
     if theta_out is not None:
-        final = theta.replace(values)
-        with open(theta_out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(theta_to_json(final)))
-    return 0
+        write_output(dump_json(theta_to_json(theta.replace(values))), *theta_out)
+    header = ("iter", "expected_loss", "expected_loss_stderr", "gradient_norm")
+    return _table(header, rows, fmt)
 
 
-def cmd_condcheck(config: dict, n: int, out, fmt: str) -> int:
-    if n < 0:
-        raise ConfigError(f"draw count must be nonnegative, got {n}")
-    sdef = build_structure(config)
-    theta_ss, work_ss = _seed_streams(config, 2)
-    theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
-    rng = np.random.default_rng(work_ss)
+def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
+    rng = np.random.default_rng(streams[0])
     failures = 0
     cond_values = np.empty((n, sdef.n_keys))
     for i in range(n):
@@ -531,28 +507,36 @@ def cmd_condcheck(config: dict, n: int, out, fmt: str) -> int:
     pvalues = {}
     rates = np.exp(-theta.theta)
     for i, label in enumerate(sdef.key_labels):
-        key = json.dumps(_labels_to_json(label), separators=(",", ":"))
+        key = _label_key(label)
         if theta.mask[i] or n < 100:
             pvalues[key] = None
         else:
             _stat, p = oracle.ks_exponential(cond_values[:, i], rates[i])
             pvalues[key] = p
-    doc = {"roundtrip_failures": failures, "per_key_ks_pvalues": pvalues}
     if fmt == "csv":
         rows = [("roundtrip_failures", str(failures), "")]
         rows += [
             ("ks_pvalue", k, "" if v is None else _fmt(v))
             for k, v in sorted(pvalues.items())
         ]
-        write_output(dump_csv(("field", "key", "value"), rows), out)
-    else:
-        write_output(dump_json(doc), out)
-    return 0
+        return dump_csv(("field", "key", "value"), rows)
+    return dump_json({"roundtrip_failures": failures, "per_key_ks_pvalues": pvalues})
 
 
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
+
+Command = namedtuple("Command", "run default_format takes_n")
+
+COMMANDS = {
+    "enumerate": Command(cmd_enumerate, "json", False),
+    "sample": Command(cmd_sample, "json", True),
+    "variance": Command(cmd_variance, "csv", False),
+    "fit": Command(cmd_fit, "csv", False),
+    "condcheck": Command(cmd_condcheck, "json", True),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -560,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sample, enumerate, and fit perturbed recursive structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("enumerate", "sample", "variance", "fit", "condcheck"):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -569,42 +553,40 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "csv"), default=None,
             help="override config output format",
         )
-        if name in ("sample", "condcheck"):
+        if command.takes_n:
             p.add_argument("-n", "--num", type=int, required=True,
                            help="number of draws")
     return parser
 
 
-_DEFAULT_FORMATS = {
-    "enumerate": "json",
-    "sample": "json",
-    "variance": "csv",
-    "fit": "csv",
-    "condcheck": "json",
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config["seed"] = args.seed
-        out = args.out if args.out is not None else config.get("out")
-        fmt = args.format or config.get("format") or _DEFAULT_FORMATS[args.command]
+        if args.out is not None:
+            config["out"] = args.out
+        out = config.get("out")
+        if out is not None:
+            out = as_path(out, "out")
+        n = args.num if command.takes_n else None
+        if n is not None and n < 0:
+            raise ConfigError(f"-n must be nonnegative, got {n}")
+        fmt = args.format or config.get("format") or command.default_format
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown output format {fmt!r}")
-        if args.command == "enumerate":
-            return cmd_enumerate(config, out, fmt)
-        if args.command == "sample":
-            return cmd_sample(config, args.num, out, fmt)
-        if args.command == "variance":
-            return cmd_variance(config, out, fmt)
-        if args.command == "fit":
-            return cmd_fit(config, out, fmt)
-        if args.command == "condcheck":
-            return cmd_condcheck(config, args.num, out, fmt)
-        raise ConfigError(f"unknown command {args.command!r}")
+        sdef = build_structure(config)
+        seed = as_int(config.get("seed", 0), "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        # Spawned children are keyed by index, so the theta and work streams
+        # are the same whether or not a command uses the third (tracking).
+        theta_ss, *streams = np.random.SeedSequence(seed).spawn(3)
+        theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
+        write_output(command.run(config, sdef, theta, streams, fmt, n), out, "out")
+        return 0
     except (ConfigError, InvalidParameterError, InfeasibleGraphError,
             InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,3 +78,13 @@ def as_float(value, field: str) -> float:
             if math.isfinite(number):
                 return number
     raise ConfigError(f"{field} must be a finite number, got {value!r}")
+
+
+def as_path(value, field: str) -> str:
+    """``value`` as a file path: it must be a string.
+
+    Anything else is rejected, so a number never opens a file descriptor.
+    """
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{field} must be a file path, got {value!r}")

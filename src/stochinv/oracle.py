@@ -15,8 +15,8 @@ traces with walks shared across their common prefixes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class EnumeratedDistribution:
     key_labels: tuple
     entries: tuple
     structure_marginals: dict
-    _by_trace: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._by_trace = {entry.trace: entry for entry in self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,9 +65,6 @@ class EnumeratedDistribution:
     @property
     def total_prob(self) -> float:
         return math.fsum(entry.prob for entry in self.entries)
-
-    def entry_of(self, trace: Trace) -> Optional[TraceEntry]:
-        return self._by_trace.get(trace)
 
 
 def enumerate_distribution(
@@ -241,7 +234,8 @@ def chi_square_fit(observed_counts: Mapping, dist: EnumeratedDistribution):
     pool itself stays below 5, merged into the smallest remaining cell).
     Returns (statistic, p_value).
     """
-    unknown = [t for t in observed_counts if dist.entry_of(t) is None]
+    support = {entry.trace for entry in dist.entries}
+    unknown = [t for t in observed_counts if t not in support]
     if unknown:
         raise InvalidArgumentError(
             f"{len(unknown)} observed traces are outside the enumerated support"

@@ -28,6 +28,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidParameterError,
     as_int,
+    as_path,
 )
 
 TreeNode = namedtuple("TreeNode", ["key", "left", "right"])
@@ -298,10 +299,7 @@ def _tree_nodes_inorder(tree) -> list:
 
 def _graph_of(spec):
     """Parse the graph file a config spec names in ``structure.graph``."""
-    path = spec["graph"]
-    if not isinstance(path, str):
-        raise ConfigError(f"structure.graph must be a file path, got {path!r}")
-    return parse_graph_file(path)
+    return parse_graph_file(as_path(spec["graph"], "structure.graph"))
 
 
 def parse_graph_file(path: str):

@@ -1,9 +1,11 @@
 """The command-line front end: formats, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,11 @@ import numpy as np
 import pytest
 
 import stochinv
-from stochinv.cli import main
+from stochinv.cli import _build_parser, main
 from stochinv.structures import parse_graph_file
+
+
+COMMAND_NAMES = ["enumerate", "sample", "variance", "fit", "condcheck"]
 
 
 def run_cli(*argv):
@@ -636,6 +641,79 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "n_samples = 7" in err and "K = 4" in err and "multiple" in err
         assert not out.exists()
+
+    # "TMP" in a field stands for the test's tmp_path; TMP/theta.json holds
+    # the theta document of the case.
+    @pytest.mark.parametrize(
+        "command, fields, theta_doc, name",
+        [
+            # Non-object sections ran into AttributeError or TypeError.
+            *[(command, {"theta": 5}, None, "theta") for command in COMMAND_NAMES],
+            ("variance", {"fit": 5}, None, "fit"),
+            ("fit", {"fit": 5}, None, "fit"),
+            ("fit", {"optimizer": 5}, None, "optimizer"),
+            # Numbers opened file descriptors; write failures were tracebacks.
+            ("sample", {"out": 6}, None, "out"),
+            ("fit", {"fit": {"target": [0], "theta_out": 7}}, None, "fit.theta_out"),
+            ("enumerate", {"theta": {"init": "file", "path": 3}}, None, "theta.path"),
+            ("enumerate", {"out": "TMP/missing/enum.json"}, None, "out"),
+            ("fit", {"out": "TMP/missing/fit.csv"}, None, "out"),
+            ("fit", {"fit": {"target": [0], "theta_out": "TMP/missing/theta.json"}},
+             None, "fit.theta_out"),
+            # A range wider than the largest float overflowed in the generator.
+            ("enumerate", {"theta": {"init": "random", "low": -1e308, "high": 1e308}},
+             None, "theta.low"),
+            # Theta files without keys and theta lists raised KeyError, TypeError
+            # or ValueError.
+            *[
+                ("enumerate", {"theta": {"init": "file", "path": "TMP/theta.json"}},
+                 doc, "TMP/theta.json")
+                for doc in ([0.0, 0.0, 0.0], {"theta": [0.0, 0.0, 0.0]}, {"keys": [0, 1, 2]},
+                            {"keys": [0, 1, 2], "theta": ["a", "b", "c"]})
+            ],
+        ],
+    )
+    def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, fields, theta_doc,
+                                       name):
+        (tmp_path / "theta.json").write_text(json.dumps(theta_doc))
+        config = {
+            "structure": {"kind": "top_k", "d": 3, "k": 1},
+            "estimators": [{"kind": "t_reinforce"}],
+            "n_samples": 4,
+            "optimizer": {"iterations": 1},
+            "fit": {"target": [0]},
+            "seed": 0,
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**config, **fields}).replace("TMP", str(tmp_path)))
+        extra = ["-n", "1"] if command in ("sample", "condcheck") else []
+        assert run_cli(command, "--config", str(cfg), *extra) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        name = re.escape(name.replace("TMP", str(tmp_path)))
+        assert re.search(rf"(?<!\w){name}(?!\w)", lines[0])
+
+    @pytest.mark.parametrize("command", ["enumerate", "sample", "condcheck"])
+    def test_sections_a_command_never_reads_are_ignored(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            fit=5, optimizer=5, estimator=5, seed=0,
+        )
+        extra = ["-n", "1"] if command in ("sample", "condcheck") else []
+        out = tmp_path / "out.json"
+        assert run_cli(command, "--config", cfg, *extra, "--out", str(out)) == 0
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    listed = [line.split()[1] for line in block.splitlines()]
+    sub = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert listed == list(sub.choices) == COMMAND_NAMES
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
