@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -38,7 +39,7 @@ from .errors import (
     as_int,
     as_path,
 )
-from .perturb import ThetaVector, sample_utilities
+from .perturb import ThetaVector, Utilities, sample_utilities, sample_utilities_matrix
 
 MAX_TRACES_ENV = "STOCHINV_MAX_TRACES"
 
@@ -84,6 +85,8 @@ def build_structure(config: dict):
 
 
 def _labels_to_json(obj):
+    if type(obj) is int:
+        return obj
     if isinstance(obj, structures.TreeNode):
         return [
             _labels_to_json(obj.key),
@@ -276,11 +279,8 @@ def _table(header, rows, fmt: str) -> str:
     return dump_csv(header, rows)
 
 
-def _trace_doc(sdef, trace):
-    return [
-        [[pi, _labels_to_json(label)] for pi, label in level]
-        for level in trace.to_labels(sdef)
-    ]
+def _trace_doc(key_docs, trace):
+    return [[[pi, key_docs[w]] for pi, w in level] for level in trace.levels]
 
 
 def _structure_doc(sdef, value):
@@ -302,10 +302,11 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         raise StochinvError(
             f"enumerated probabilities sum to {total!r}, expected 1 within 1e-9"
         )
+    key_docs = [_labels_to_json(k) for k in sdef.key_labels]
     if fmt == "csv":
         rows = [
             (
-                json.dumps(_trace_doc(sdef, e.trace), separators=(",", ":")),
+                json.dumps(_trace_doc(key_docs, e.trace), separators=(",", ":")),
                 _fmt(e.log_prob),
                 _fmt(e.prob),
                 json.dumps(_structure_doc(sdef, e.structure), separators=(",", ":")),
@@ -318,7 +319,7 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
             "total_prob": total,
             "traces": [
                 {
-                    "trace": _trace_doc(sdef, e.trace),
+                    "trace": _trace_doc(key_docs, e.trace),
                     "log_prob": e.log_prob,
                     "prob": e.prob,
                     "structure": _structure_doc(sdef, e.structure),
@@ -333,15 +334,16 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
 
 
 def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
-    rng = np.random.default_rng(streams[0])
+    # One (n, n_keys) draw takes the same numbers as n draws of one row.
+    draws = sample_utilities_matrix(theta, n, np.random.default_rng(streams[0]))
+    key_docs = [_labels_to_json(k) for k in sdef.key_labels]
     records = []
-    for _ in range(n):
-        e = sample_utilities(theta, rng)
-        x, trace = run_struct(sdef, e)
+    for row in draws:
+        x, trace = run_struct(sdef, Utilities(theta.keys, row))
         records.append(
             {
                 "structure": _structure_doc(sdef, x),
-                "trace": _trace_doc(sdef, trace),
+                "trace": _trace_doc(key_docs, trace),
                 "log_prob": trace_log_prob(sdef, trace, theta),
             }
         )
@@ -460,8 +462,6 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     except InstanceTooLargeError:
         track_rng = np.random.default_rng(track_ss)
 
-    work_children = work_ss.spawn(iterations)
-
     rows = []
     values = theta.theta.copy()
     for it in range(iterations + 1):
@@ -481,7 +481,8 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         if it == iterations:
             rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(0.0)))
             break
-        report = runner(sdef, current, loss, np.random.default_rng(work_children[it]))
+        # spawn keys children by a running index: this is spawn(iterations)[it].
+        report = runner(sdef, current, loss, np.random.default_rng(work_ss.spawn(1)[0]))
         grad = report.gradient.values
         rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(float(np.linalg.norm(grad)))))
         values = optimizer.update(values, grad)
@@ -538,7 +539,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="stochinv",
         description="Sample, enumerate, and fit perturbed recursive structures.",

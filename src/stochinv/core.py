@@ -51,6 +51,8 @@ from .perturb import (
     unit_exponential,
 )
 
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
 
 class StructureDefinition(ABC):
     """Recipe for one structured distribution.
@@ -120,12 +122,6 @@ class Trace:
 
     def winners(self) -> tuple:
         return tuple(w for level in self.levels for _, w in level)
-
-    def to_labels(self, sdef: StructureDefinition) -> tuple:
-        return tuple(
-            tuple((pi, sdef.key_labels[w]) for pi, w in level)
-            for level in self.levels
-        )
 
 
 def _check_partition(parts, K: frozenset) -> None:
@@ -401,7 +397,7 @@ class CondBuildRecord:
 def _on_lists(fn, *arrays):
     """``fn`` on the arrays as Python lists, whose float arithmetic is the
     same IEEE operations as on numpy scalars, only faster.  Where a rate or
-    a squared rate sum underflows to 0, Python raises on the division, so
+    a rate sum underflows to 0, Python raises on the division, so
     ``fn`` runs again on the arrays, whose scalars divide to inf or nan."""
     try:
         return fn(*[a.tolist() for a in arrays])
@@ -498,9 +494,16 @@ def cond_jacobian_vjp(record: CondBuildRecord, theta: ThetaVector, v) -> Gradien
             for k in keys:
                 s += rates[k]
                 vsum += v[k]
-            coeff = vsum * eps / (s * s)
-            for k in keys:
-                out[k] += coeff * rates[k]
+            if s * s >= _SMALLEST_NORMAL:
+                coeff = vsum * eps / (s * s)
+                for k in keys:
+                    out[k] += coeff * rates[k]
+            else:
+                # s * s has underflowed: divide by s twice instead, which
+                # stays finite wherever eps * rate / s^2 itself is.
+                coeff = vsum * eps / s
+                for k in keys:
+                    out[k] += coeff * (rates[k] / s)
         for k, eps in record.tail:
             out[k] += v[k] * eps / rates[k]
         return out

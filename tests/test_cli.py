@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import stochinv
+from stochinv import cli
 from stochinv.cli import _build_parser, main
 from stochinv.structures import parse_graph_file
 
@@ -268,6 +269,36 @@ class TestFitCommand:
         losses = [float(r["expected_loss"]) for r in rows]
         assert losses[0] < 0.02
         assert max(losses) < 0.1
+
+    def test_each_iteration_spawns_the_matching_child_seed(self, tmp_path, monkeypatch):
+        # Spawning one child per iteration gives the children one
+        # spawn(iterations) call would: same entropy, same spawn_key.
+        seen = []
+        build = cli.build_estimator_runner
+
+        def recording(spec, field, n):
+            name, run = build(spec, field, n)
+
+            def run_and_record(sdef, theta, loss, rng):
+                seen.append(rng.bit_generator.seed_seq)
+                return run(sdef, theta, loss, rng)
+
+            return name, run_and_record
+
+        monkeypatch.setattr(cli, "build_estimator_runner", recording)
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            optimizer={"iterations": 7},
+            fit={"target": [2]},
+            seed=12,
+        )
+        assert run_cli("fit", "--config", cfg, "--out", str(tmp_path / "fit.csv")) == 0
+        # main spawns (theta, work, tracking) streams; fit steps draw from work.
+        expected = np.random.SeedSequence(12).spawn(3)[1].spawn(7)
+        assert [(c.entropy, c.spawn_key) for c in seen] == [
+            (c.entropy, c.spawn_key) for c in expected
+        ]
 
     def test_invalid_target_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(
@@ -726,3 +757,36 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "False"
+
+
+def test_one_process_gives_the_bytes_of_separate_runs(tmp_path):
+    # The parser is built once per process; a --format or -n given to one
+    # call must not carry over to the next.
+    cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 4, "k": 2}, seed=3)
+    calls = {
+        "sample.csv": ["sample", "--config", cfg, "-n", "5", "--format", "csv"],
+        "sample.jsonl": ["sample", "--config", cfg, "-n", "5"],
+        "enumerate.json": ["enumerate", "--config", cfg],
+    }
+    src = str(Path(stochinv.__file__).resolve().parent.parent)
+    for name, argv in calls.items():
+        assert run_cli(*argv, "--out", str(tmp_path / f"in_process_{name}")) == 0
+    for name, argv in calls.items():
+        subprocess.run(
+            [sys.executable, "-m", "stochinv.cli", *argv,
+             "--out", str(tmp_path / f"separate_{name}")],
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        in_process = (tmp_path / f"in_process_{name}").read_bytes()
+        assert in_process == (tmp_path / f"separate_{name}").read_bytes(), name
+    assert (tmp_path / "in_process_sample.jsonl").read_text().startswith("{")
+
+
+def test_cli_import_builds_no_parser():
+    src = str(Path(stochinv.__file__).resolve().parent.parent)
+    code = "import stochinv.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "0"

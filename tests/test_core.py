@@ -342,17 +342,37 @@ class TestConditionalJacobian:
                 )
 
     def test_underflowing_rates_divide_to_inf_not_raise(self):
-        # exp(-400) squared underflows to 0 and exp(-760) is 0 itself: the
-        # divisions give inf/nan as numpy does, and a zero rate leaves the
-        # sample infinite, which Utilities rejects.
+        # exp(-400) squared underflows to 0, so the product divides by the
+        # rate sum twice and stays finite: 1 / (2r) * (r / 2r) = e^400 / 4.
+        # exp(-760) is 0 itself: the division gives inf as numpy does, and
+        # the infinite sample is rejected by Utilities.
         from stochinv import CondBuildRecord, InvalidParameterError
 
         rec = CondBuildRecord((0, 1), ((0, 1.0, (0, 1)),), ((1, 2.0),))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = cond_jacobian_vjp(rec, ThetaVector((0, 1), [400.0, 400.0]), [1.0, 0.0])
-            assert out.values.tolist() == [math.inf, math.inf]
+            assert out.values.tolist() == [0.25 / math.exp(-400.0)] * 2
             with pytest.raises(InvalidParameterError):
                 replay_conditional(rec, ThetaVector((0, 1), [0.0, 760.0]))
+
+    @pytest.mark.parametrize("c", [400.0, 700.0])
+    @pytest.mark.parametrize(
+        "sdef",
+        [TopK(6, 3), Arborescence(range(4), complete_digraph(4), 0)],
+        ids=["top_k_6_3", "cle_K4"],
+    )
+    def test_shifting_theta_by_c_scales_the_product_by_exp_c(self, sdef, c):
+        # Every rate scales by e^-c, so each term eps * rate / s^2 and each
+        # residual eps / rate scales by e^c, also where s^2 underflows.
+        theta = seeded_theta(sdef, 19)
+        rng = np.random.default_rng(20)
+        _x, t = run_struct(sdef, sample_utilities(theta, rng))
+        _e, rec = cond_sample(sdef, t, theta, rng)
+        v = rng.normal(size=sdef.n_keys)
+        base = cond_jacobian_vjp(rec, theta, v).values
+        shifted = cond_jacobian_vjp(rec, theta.replace(theta.theta + c), v).values
+        assert np.all(np.isfinite(shifted))
+        np.testing.assert_allclose(shifted, math.exp(c) * base, rtol=1e-12, atol=0)
 
 
 class TestRecordedWalk:

@@ -60,6 +60,19 @@ CASES = {
          "theta": RANDOM_THETA, "seed": 2, "format": "csv"},
         ["-n", "40"], [],
     ),
+    # Binary trees write TreeNode documents; matchings write tuple labels.
+    "sample_binary_tree.jsonl": (
+        "sample",
+        {"structure": {"kind": "binary_tree", "n": 5},
+         "theta": RANDOM_THETA, "seed": 8},
+        ["-n", "15"], [],
+    ),
+    "sample_matching.csv": (
+        "sample",
+        {"structure": {"kind": "matching", "n": 4},
+         "theta": RANDOM_THETA, "seed": 9, "format": "csv"},
+        ["-n", "15"], [],
+    ),
     "condcheck_arborescence.json": (
         "condcheck",
         {"structure": {"kind": "arborescence", "graph": "K4_DIRECTED"},

@@ -4,8 +4,12 @@ Each class in ``structures.KINDS`` is built from a literal config spec and
 checked against what the CLI needs of it (its kind name, the inverse of
 its JSON encoding, value validation) and against the
 ``StructureDefinition`` contract at every state its recursion reaches.
+Its ``sample`` and ``enumerate`` output is checked against a reference
+built here from the library calls, one draw or trace at a time.
 """
 
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -13,8 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochinv import ThetaVector, enumerate_distribution, run_struct, sample_utilities
-from stochinv.cli import _structure_doc, build_structure
+from stochinv import (
+    ThetaVector,
+    enumerate_distribution,
+    run_struct,
+    sample_utilities,
+    trace_log_prob,
+)
+from stochinv.cli import _structure_doc, build_structure, main
 from stochinv.structures import KINDS
 from conftest import seeded_theta
 
@@ -93,3 +103,94 @@ def test_readme_lists_exactly_the_registered_kinds():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     paragraph = readme.split("Structure kinds", 1)[1].split("\n\n", 1)[0]
     assert sorted(re.findall(r"`(\w+)` \(", paragraph)) == sorted(KINDS)
+
+
+# -- CLI output against a per-row reference ------------------------------------
+
+def _masked_theta_config(tmp_path, spec, sdef):
+    """A config whose theta file masks key 1 and seeds the other keys."""
+    theta = seeded_theta(sdef, 21)
+    mask = [k == 1 for k in range(sdef.n_keys)]
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({
+        "keys": json.loads(json.dumps(sdef.key_labels)),
+        "theta": theta.theta.tolist(),
+        "mask": mask,
+    }))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "structure": {"kind": sdef.kind, **spec},
+        "theta": {"init": "file", "path": str(path)},
+    }))
+    return str(cfg), ThetaVector(sdef.key_labels, theta.theta, mask)
+
+
+def _trace_labels(sdef, trace):
+    """The trace as JSON: each winner looked up in ``key_labels``."""
+    return [
+        [[pi, json.loads(json.dumps(sdef.key_labels[w]))] for pi, w in level]
+        for level in trace.levels
+    ]
+
+
+def _cli_records(tmp_path, argv, fmt):
+    """Run the CLI with ``--format fmt``; its JSON text, or its CSV rows."""
+    out = tmp_path / f"out.{fmt}"
+    assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "csv":
+        return list(csv.reader(io.StringIO(text)))
+    return text
+
+
+@pytest.mark.parametrize("n", [25, 0])
+def test_sample_matches_a_per_row_reference(instance, tmp_path, n):
+    _kind, spec, sdef = instance
+    cfg, theta = _masked_theta_config(tmp_path, spec, sdef)
+    seed = 17
+    # main spawns (theta, work, tracking) streams; sample draws from work.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+    expected = []
+    for _ in range(n):
+        x, trace = run_struct(sdef, sample_utilities(theta, rng))
+        expected.append({
+            "structure": json.loads(json.dumps(_structure_doc(sdef, x))),
+            "trace": _trace_labels(sdef, trace),
+            "log_prob": trace_log_prob(sdef, trace, theta),
+        })
+    argv = ["sample", "--config", cfg, "-n", str(n), "--seed", str(seed)]
+
+    lines = _cli_records(tmp_path, argv, "json").splitlines()
+    assert [json.loads(line) for line in lines] == expected
+
+    header, *rows = _cli_records(tmp_path, argv, "csv")
+    assert header == ["structure", "trace", "log_prob"]
+    assert [
+        {"structure": json.loads(s), "trace": json.loads(t), "log_prob": float(lp)}
+        for s, t, lp in rows
+    ] == expected
+
+
+def test_enumerate_matches_a_per_trace_reference(instance, tmp_path):
+    _kind, spec, sdef = instance
+    cfg, theta = _masked_theta_config(tmp_path, spec, sdef)
+    expected = [
+        {
+            "trace": _trace_labels(sdef, e.trace),
+            "log_prob": e.log_prob,
+            "prob": e.prob,
+            "structure": json.loads(json.dumps(_structure_doc(sdef, e.structure))),
+        }
+        for e in enumerate_distribution(sdef, theta).entries
+    ]
+    argv = ["enumerate", "--config", cfg]
+
+    assert json.loads(_cli_records(tmp_path, argv, "json"))["traces"] == expected
+
+    header, *rows = _cli_records(tmp_path, argv, "csv")
+    assert header == ["trace", "log_prob", "prob", "structure"]
+    assert [
+        {"trace": json.loads(t), "log_prob": float(lp), "prob": float(p),
+         "structure": json.loads(s)}
+        for t, lp, p, s in rows
+    ] == expected
