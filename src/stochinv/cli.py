@@ -3,8 +3,9 @@
 All commands read a single JSON config document; --seed/--out/--format
 override the matching fields.  ``main`` does the setup all commands
 share: it loads the config, reads the shared fields (seed, out, format,
--n), builds the structure, spawns the seed streams and builds theta, then
-calls the command named in ``COMMANDS`` and writes the text it returns.
+-n), builds the structure, spawns the seed streams and builds theta
+(rejecting an unmasked |theta| above ``THETA_LIMIT``), then calls the
+command named in ``COMMANDS`` and writes the text it returns.
 Config sections are read through ``_object`` and paths through ``as_path``.
 Outputs are machine-readable (JSON or CSV with 17 significant digits) and
 byte-identical under a fixed seed.  Exit codes: 0 success, 2 config or
@@ -42,6 +43,7 @@ from .errors import (
 from .perturb import ThetaVector, Utilities, sample_utilities, sample_utilities_matrix
 
 MAX_TRACES_ENV = "STOCHINV_MAX_TRACES"
+THETA_LIMIT = 700.0  # exp(±theta) and exp(theta) * any unit draw stay normal
 
 
 # --------------------------------------------------------------------------
@@ -84,35 +86,9 @@ def build_structure(config: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _labels_to_json(obj):
-    if type(obj) is int:
-        return obj
-    if isinstance(obj, structures.TreeNode):
-        return [
-            _labels_to_json(obj.key),
-            _labels_to_json(obj.left),
-            _labels_to_json(obj.right),
-        ]
-    if isinstance(obj, (tuple, list)):
-        return [_labels_to_json(x) for x in obj]
-    if isinstance(obj, frozenset):
-        return [_labels_to_json(x) for x in sorted(obj)]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
-def _label_from_json(obj):
-    if isinstance(obj, list):
-        return tuple(_label_from_json(x) for x in obj)
-    return obj
-
-
 def theta_to_json(theta: ThetaVector) -> dict:
     return {
-        "keys": [_labels_to_json(k) for k in theta.keys],
+        "keys": list(theta.keys),
         "theta": theta.theta.tolist(),
         "mask": theta.mask.tolist(),
     }
@@ -143,7 +119,7 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
         if not (isinstance(doc, dict) and isinstance(doc.get("keys"), list)
                 and "theta" in doc):
             raise ConfigError(f"theta file {path} must be an object with 'keys' and 'theta'")
-        if tuple(_label_from_json(k) for k in doc["keys"]) != sdef.key_labels:
+        if doc["keys"] != json.loads(json.dumps(sdef.key_labels)):
             raise ConfigError(f"theta file {path}: keys do not match the configured structure")
         try:
             return ThetaVector(sdef.key_labels, doc["theta"], doc.get("mask"))
@@ -279,16 +255,13 @@ def _table(header, rows, fmt: str) -> str:
     return dump_csv(header, rows)
 
 
-def _trace_doc(key_docs, trace):
-    return [[[pi, key_docs[w]] for pi, w in level] for level in trace.levels]
-
-
-def _structure_doc(sdef, value):
-    return _labels_to_json(sdef.encode_value(value))
+def _trace_doc(sdef, trace):
+    labels = sdef.key_labels
+    return [[[pi, labels[w]] for pi, w in level] for level in trace.levels]
 
 
 def _label_key(label) -> str:
-    return json.dumps(_labels_to_json(label), separators=(",", ":"))
+    return json.dumps(label, separators=(",", ":"))
 
 
 # --------------------------------------------------------------------------
@@ -302,14 +275,13 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         raise StochinvError(
             f"enumerated probabilities sum to {total!r}, expected 1 within 1e-9"
         )
-    key_docs = [_labels_to_json(k) for k in sdef.key_labels]
     if fmt == "csv":
         rows = [
             (
-                json.dumps(_trace_doc(key_docs, e.trace), separators=(",", ":")),
+                json.dumps(_trace_doc(sdef, e.trace), separators=(",", ":")),
                 _fmt(e.log_prob),
                 _fmt(e.prob),
-                json.dumps(_structure_doc(sdef, e.structure), separators=(",", ":")),
+                json.dumps(sdef.encode_value(e.structure), separators=(",", ":")),
             )
             for e in dist.entries
         ]
@@ -319,10 +291,10 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
             "total_prob": total,
             "traces": [
                 {
-                    "trace": _trace_doc(key_docs, e.trace),
+                    "trace": _trace_doc(sdef, e.trace),
                     "log_prob": e.log_prob,
                     "prob": e.prob,
-                    "structure": _structure_doc(sdef, e.structure),
+                    "structure": sdef.encode_value(e.structure),
                 }
                 for e in dist.entries
             ],
@@ -336,14 +308,13 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
 def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
     # One (n, n_keys) draw takes the same numbers as n draws of one row.
     draws = sample_utilities_matrix(theta, n, np.random.default_rng(streams[0]))
-    key_docs = [_labels_to_json(k) for k in sdef.key_labels]
     records = []
     for row in draws:
         x, trace = run_struct(sdef, Utilities(theta.keys, row))
         records.append(
             {
-                "structure": _structure_doc(sdef, x),
-                "trace": _trace_doc(key_docs, trace),
+                "structure": sdef.encode_value(x),
+                "trace": _trace_doc(sdef, trace),
                 "log_prob": trace_log_prob(sdef, trace, theta),
             }
         )
@@ -588,6 +559,13 @@ def main(argv=None) -> int:
         # are the same whether or not a command uses the third (tracking).
         theta_ss, *streams = np.random.SeedSequence(seed).spawn(3)
         theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
+        beyond = np.flatnonzero(~theta.mask & (np.abs(theta.theta) > THETA_LIMIT))
+        if beyond.size:
+            i = beyond[0]
+            raise ConfigError(
+                f"theta of key {_label_key(sdef.key_labels[i])} is {float(theta.theta[i])!r},"
+                f" beyond the limit |theta| <= {THETA_LIMIT:g}"
+            )
         write_output(command.run(config, sdef, theta, streams, fmt, n), out, "out")
         return 0
     except (ConfigError, InvalidParameterError, InfeasibleGraphError,

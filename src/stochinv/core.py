@@ -99,7 +99,10 @@ class StructureDefinition(ABC):
         return value
 
     def encode_value(self, value):
-        """Canonical hashable encoding used for marginals and serialization."""
+        """Canonical hashable encoding, used for marginals and as the JSON form:
+        ints, ``None`` and (named) tuples of them, which ``json.dumps`` writes
+        as is.  Each kind's ``decode_value`` inverts it.
+        """
         return value
 
 

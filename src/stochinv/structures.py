@@ -10,9 +10,10 @@ Keys are dense integers internally; ``key_labels`` carries the
 caller-facing names (item indices, matrix cells, edge tuples).  Structure
 values are expressed in label space.
 
-Each class also owns its config kind: the ``kind`` name, ``from_config``,
-``decode_value`` (the inverse of the CLI's JSON encoding) and
-``validate_value``.  ``KINDS`` maps each kind name to its class.
+Each class also owns its config kind and its JSON form: the ``kind``
+name, ``from_config``, ``encode_value`` (what the CLI writes),
+``decode_value`` (its inverse) and ``validate_value``.  ``KINDS`` maps
+each kind name to its class.
 """
 
 from __future__ import annotations
@@ -54,7 +55,17 @@ def _edges_from_json(doc) -> frozenset:
     return frozenset((int(u), int(v)) for u, v in doc)
 
 
-class TopK(StructureDefinition):
+class _SetValued(StructureDefinition):
+    """A structure whose value is a set of labels, written as a sorted tuple."""
+
+    def finish(self, value):
+        return value if value is not None else frozenset()
+
+    def encode_value(self, value):
+        return tuple(sorted(value))
+
+
+class TopK(_SetValued):
     """The k smallest of d items, as an unordered subset.
 
     One partition per level (everything still in play); the winner leaves
@@ -89,12 +100,6 @@ class TopK(StructureDefinition):
 
     def combine(self, child, K, R, winners):
         return (child or frozenset()) | {winners[0]}
-
-    def finish(self, value):
-        return value if value is not None else frozenset()
-
-    def encode_value(self, value):
-        return tuple(sorted(value))
 
     def decode_value(self, doc):
         return frozenset(int(x) for x in doc)
@@ -142,9 +147,6 @@ class Argsort(StructureDefinition):
     def combine(self, child, K, R, winners):
         return (winners[0],) + (child or ())
 
-    def finish(self, value):
-        return value if value is not None else ()
-
     def decode_value(self, doc):
         return tuple(int(x) for x in doc)
 
@@ -156,7 +158,7 @@ class Argsort(StructureDefinition):
         return _OK
 
 
-class Matching(StructureDefinition):
+class Matching(_SetValued):
     """A perfect matching between the rows and columns of an n-by-n grid.
 
     The minimum surviving cell joins the matching and its whole row and
@@ -194,12 +196,6 @@ class Matching(StructureDefinition):
 
     def combine(self, child, K, R, winners):
         return (child or frozenset()) | {self.key_labels[winners[0]]}
-
-    def finish(self, value):
-        return value if value is not None else frozenset()
-
-    def encode_value(self, value):
-        return tuple(sorted(value))
 
     def decode_value(self, doc):
         return _edges_from_json(doc)
@@ -372,7 +368,7 @@ def parse_graph_file(path: str):
     return directed, n_vertices, edges, root
 
 
-class SpanningTree(StructureDefinition):
+class SpanningTree(_SetValued):
     """A spanning tree of an undirected graph, grown greedily edge by edge.
 
     The auxiliary state is ``(labels, count)``: ``labels[i]`` is the
@@ -441,12 +437,6 @@ class SpanningTree(StructureDefinition):
     def combine(self, child, K, R, winners):
         return (child or frozenset()) | {self.key_labels[winners[0]]}
 
-    def finish(self, value):
-        return value if value is not None else frozenset()
-
-    def encode_value(self, value):
-        return tuple(sorted(value))
-
     def decode_value(self, doc):
         return frozenset((min(u, v), max(u, v)) for u, v in _edges_from_json(doc))
 
@@ -474,7 +464,7 @@ class SpanningTree(StructureDefinition):
         return _OK
 
 
-class Arborescence(StructureDefinition):
+class Arborescence(_SetValued):
     """A directed spanning tree with all edges oriented away from a root.
 
     Every non-root super-node competes over its incoming edges at once.
@@ -614,12 +604,6 @@ class Arborescence(StructureDefinition):
         displaced_slot = next(i for i in cycle if entering[0][1] in R[i])
         kept = {winner_of_slot[i] for i in cycle if i != displaced_slot}
         return child | kept
-
-    def finish(self, value):
-        return value if value is not None else frozenset()
-
-    def encode_value(self, value):
-        return tuple(sorted(value))
 
     def decode_value(self, doc):
         return _edges_from_json(doc)

@@ -694,6 +694,12 @@ class TestConfigHandling:
             # A range wider than the largest float overflowed in the generator.
             ("enumerate", {"theta": {"init": "random", "low": -1e308, "high": 1e308}},
              None, "theta.low"),
+            # Theta beyond exp's range failed with a RuntimeWarning and an
+            # unnamed utility error, or an internal error in enumeration.
+            ("sample", {"theta": {"value": 800}}, None, "key 0"),
+            ("enumerate", {"theta": {"value": 1e300}}, None, "key 0"),
+            ("condcheck", {"theta": {"init": "file", "path": "TMP/theta.json"}},
+             {"keys": [0, 1, 2], "theta": [0.0, -800.0, 0.0]}, "key 1"),
             # Theta files without keys and theta lists raised KeyError, TypeError
             # or ValueError.
             *[

@@ -73,6 +73,12 @@ CASES = {
          "theta": RANDOM_THETA, "seed": 9, "format": "csv"},
         ["-n", "15"], [],
     ),
+    "sample_spanning_tree.jsonl": (
+        "sample",
+        {"structure": {"kind": "spanning_tree", "graph": "K4"},
+         "theta": RANDOM_THETA, "seed": 10},
+        ["-n", "20"], [],
+    ),
     "condcheck_arborescence.json": (
         "condcheck",
         {"structure": {"kind": "arborescence", "graph": "K4_DIRECTED"},

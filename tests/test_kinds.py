@@ -24,7 +24,7 @@ from stochinv import (
     sample_utilities,
     trace_log_prob,
 )
-from stochinv.cli import _structure_doc, build_structure, main
+from stochinv.cli import build_structure, main
 from stochinv.structures import KINDS
 from conftest import seeded_theta
 
@@ -73,7 +73,7 @@ def test_sampled_values_decode_from_their_json_and_validate(instance):
     rng = np.random.default_rng(8)
     for _ in range(40):
         x, _trace = run_struct(sdef, sample_utilities(theta, rng))
-        doc = json.loads(json.dumps(_structure_doc(sdef, x)))
+        doc = json.loads(json.dumps(sdef.encode_value(x)))
         assert sdef.decode_value(doc) == x
         result = sdef.validate_value(x)
         assert result.ok, result.reason
@@ -154,7 +154,7 @@ def test_sample_matches_a_per_row_reference(instance, tmp_path, n):
     for _ in range(n):
         x, trace = run_struct(sdef, sample_utilities(theta, rng))
         expected.append({
-            "structure": json.loads(json.dumps(_structure_doc(sdef, x))),
+            "structure": json.loads(json.dumps(sdef.encode_value(x))),
             "trace": _trace_labels(sdef, trace),
             "log_prob": trace_log_prob(sdef, trace, theta),
         })
@@ -179,7 +179,7 @@ def test_enumerate_matches_a_per_trace_reference(instance, tmp_path):
             "trace": _trace_labels(sdef, e.trace),
             "log_prob": e.log_prob,
             "prob": e.prob,
-            "structure": json.loads(json.dumps(_structure_doc(sdef, e.structure))),
+            "structure": json.loads(json.dumps(sdef.encode_value(e.structure))),
         }
         for e in enumerate_distribution(sdef, theta).entries
     ]

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochinv import (
     Arborescence,
@@ -331,6 +333,45 @@ class TestArborescence:
             np.testing.assert_allclose(
                 trace_score(sdef, entry.trace, theta).values, score, atol=1e-12
             )
+
+
+@st.composite
+def connected_graphs(draw):
+    """(directed, n, edges) on vertices 0..n-1, n <= 5.
+
+    The edges hold a random tree grown from vertex 0, each vertex hanging
+    from one placed before it, plus random extra edges.  Tree edges point
+    away from 0, so in a directed graph every vertex is reachable from root 0.
+    """
+    directed = draw(st.booleans())
+    n = draw(st.integers(1, 5))
+    order = [0, *draw(st.permutations(range(1, n)))]
+    tree = {(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)}
+    if not directed:
+        tree = {(min(e), max(e)) for e in tree}
+    pairs = complete_digraph(n) if directed else complete_graph(n)
+    extra = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return directed, n, sorted(tree | extra)
+
+
+@given(connected_graphs(), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_graph_kinds_find_the_exhaustive_minimum_on_random_graphs(graph, seed):
+    directed, n, edges = graph
+    vertices = tuple(range(n))
+    if directed:
+        sdef = Arborescence(vertices, edges, 0)
+        best_of = list(all_arborescences(vertices, sdef.key_labels, 0))
+    else:
+        sdef = SpanningTree(vertices, edges)
+        best_of = list(all_spanning_trees(vertices, sdef.key_labels))
+    theta = seeded_theta(sdef, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        e = sample_utilities(theta, rng)
+        weight = dict(zip(sdef.key_labels, e.values))
+        best = min(best_of, key=lambda x: sum(weight[edge] for edge in x))
+        assert run_struct(sdef, e)[0] == best
 
 
 def _ref_spanning_tree_map(sdef, K, roots, winners):
