@@ -694,12 +694,6 @@ class TestConfigHandling:
             # A range wider than the largest float overflowed in the generator.
             ("enumerate", {"theta": {"init": "random", "low": -1e308, "high": 1e308}},
              None, "theta.low"),
-            # Theta beyond exp's range failed with a RuntimeWarning and an
-            # unnamed utility error, or an internal error in enumeration.
-            ("sample", {"theta": {"value": 800}}, None, "key 0"),
-            ("enumerate", {"theta": {"value": 1e300}}, None, "key 0"),
-            ("condcheck", {"theta": {"init": "file", "path": "TMP/theta.json"}},
-             {"keys": [0, 1, 2], "theta": [0.0, -800.0, 0.0]}, "key 1"),
             # Theta files without keys and theta lists raised KeyError, TypeError
             # or ValueError.
             *[
@@ -708,6 +702,12 @@ class TestConfigHandling:
                 for doc in ([0.0, 0.0, 0.0], {"theta": [0.0, 0.0, 0.0]}, {"keys": [0, 1, 2]},
                             {"keys": [0, 1, 2], "theta": ["a", "b", "c"]})
             ],
+            # Theta beyond exp's range failed with a RuntimeWarning and an
+            # unnamed utility error, or an internal error in enumeration.
+            ("sample", {"theta": {"value": 800}}, None, "key 0"),
+            ("enumerate", {"theta": {"value": 1e300}}, None, "key 0"),
+            ("condcheck", {"theta": {"init": "file", "path": "TMP/theta.json"}},
+             {"keys": [0, 1, 2], "theta": [0.0, -800.0, 0.0]}, "key 1"),
         ],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, fields, theta_doc,
