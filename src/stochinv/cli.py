@@ -145,10 +145,15 @@ def decode_target(fit: dict, sdef):
 def resolve_max_traces(config: dict) -> int:
     env = os.environ.get(MAX_TRACES_ENV)
     if env is not None:
-        return as_int(env, MAX_TRACES_ENV)
-    if "max_traces" in config and config["max_traces"] is not None:
-        return as_int(config["max_traces"], "max_traces")
-    return oracle.DEFAULT_MAX_TRACES
+        value, field = env, MAX_TRACES_ENV
+    elif config.get("max_traces") is not None:
+        value, field = config["max_traces"], "max_traces"
+    else:
+        return oracle.DEFAULT_MAX_TRACES
+    cap = as_int(value, field)
+    if cap < 0:
+        raise ConfigError(f"{field} must be nonnegative, got {cap}")
+    return cap
 
 
 def build_estimator_runner(spec: dict, field: str, n: int):

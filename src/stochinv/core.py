@@ -106,11 +106,13 @@ class StructureDefinition(ABC):
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """Per-level (partition_index, winner_key) pairs, in recursion order.
 
-    ``run_struct`` also stores its walk here, outside equality and hashing.
+    ``run_struct`` also stores its walk here, outside equality, hashing and
+    repr.  Slots keep the per-trace footprint small: enumeration holds one
+    ``Trace`` per trace of the support.
     """
 
     levels: tuple

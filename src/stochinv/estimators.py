@@ -81,13 +81,20 @@ class ControlVariate:
         return float(value), grad
 
     def self_test(self, utilities: Utilities, step: float = 1e-6) -> bool:
+        """Check the gradient by central differences.
+
+        Key i moves by ``step`` relative to its utility (absolute below 1),
+        so the difference stays resolvable however large the utility is;
+        the lower point is clamped at 0.
+        """
         _, grad = self(utilities)
         base = utilities.values
         for i in range(len(base)):
+            h = step * max(1.0, abs(base[i]))
             up = base.copy()
-            up[i] += step
+            up[i] += h
             down = base.copy()
-            down[i] = max(down[i] - step, 0.0)
+            down[i] = max(down[i] - h, 0.0)
             v_up, _ = self(Utilities(utilities.keys, up))
             v_down, _ = self(Utilities(utilities.keys, down))
             fd = (v_up - v_down) / (up[i] - down[i])

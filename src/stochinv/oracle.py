@@ -10,6 +10,11 @@ folds each leaf's frames with ``core``'s fold.  Everything downstream
 (exact expected losses, exact gradients, goodness-of-fit tests) reduces to
 sums over the enumerated support; ``exact_gradient`` re-validates the
 traces with walks shared across their common prefixes.
+
+Traces far outnumber the distinct objects they are made of (Matching(5) has
+14400 traces but 120 structures), so one enumeration shares immutable
+values that are equal: each distinct structure value, level tuple and
+stochastic event is one object, whichever entries refer to it.
 """
 
 from __future__ import annotations
@@ -42,8 +47,15 @@ from .perturb import GradientVector, ThetaVector
 DEFAULT_MAX_TRACES = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
+    """One enumerated trace, its probability and the structure it yields.
+
+    Entries of one enumeration share their structure value, level tuples
+    and events with every other entry equal to them by value, so an entry
+    costs little more than its own ``Trace`` and tuples of references.
+    """
+
     trace: Trace
     log_prob: float
     prob: float
@@ -84,6 +96,10 @@ def enumerate_distribution(
     mask = theta.mask.tolist()
     entries = []
     marginals = {}
+    # Equal immutable objects are shared across the entries: structure
+    # values keyed by their encoding, level tuples by the level's winners,
+    # stochastic events by themselves.
+    values, level_tuples, shared_events = {}, {}, {}
 
     # Iterative depth-first search over one mutable path: the finished
     # levels' frames and trace levels, the stochastic events so far (whose
@@ -102,11 +118,12 @@ def enumerate_distribution(
                     if len(entries) >= max_traces:
                         raise InstanceTooLargeError(max_traces, len(entries) + 1)
                     value = _fold(_Walk(sdef, frames, K, R))
+                    encoded = sdef.encode_value(value)
+                    value = values.setdefault(encoded, value)
                     prob = math.exp(logp)
                     entries.append(
                         TraceEntry(Trace(tuple(levels)), logp, prob, value, tuple(events))
                     )
-                    encoded = sdef.encode_value(value)
                     marginals[encoded] = marginals.get(encoded, 0.0) + prob
                     break
                 parts = sdef.split(K, R)
@@ -117,7 +134,11 @@ def enumerate_distribution(
                 K_next, R_next = sdef.map(K, R, chosen)
                 _check_shrink(K_next, K)
                 frames.append((K, R, parts, chosen))
-                levels.append(tuple(enumerate(chosen)))
+                key = tuple(chosen)
+                level = level_tuples.get(key)
+                if level is None:
+                    level = level_tuples[key] = tuple(enumerate(chosen))
+                levels.append(level)
                 K, R, parts = K_next, R_next, None
                 continue
             P = parts[len(winners)]
@@ -147,7 +168,8 @@ def enumerate_distribution(
             item[0] = branch + 1
         w = P[branch]
         mask[w] = True
-        events.append((w, P))
+        event = (w, P)
+        events.append(shared_events.setdefault(event, event))
         winners.append(w)
         logp = logp + neg_theta[w] - lse
     return EnumeratedDistribution(sdef.key_labels, tuple(entries), marginals)

@@ -65,7 +65,10 @@ class Utilities(KeyedVector):
         # One reduction each: NaN fails both comparisons, -0.0 passes.
         v = self.values
         if v.size and not (v.min() >= 0.0 and v.max() < np.inf):
-            raise InvalidParameterError("utilities must be finite and nonnegative")
+            bad = next(i for i, x in enumerate(v.tolist()) if not 0.0 <= x < np.inf)
+            raise InvalidParameterError(
+                f"utilities must be finite and nonnegative, got {v[bad]} on key {self.keys[bad]!r}"
+            )
 
 
 class GradientVector(KeyedVector):

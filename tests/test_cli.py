@@ -442,6 +442,13 @@ class TestConfigHandling:
         assert run_cli("enumerate", "--config", cfg) == 2
         assert "max_traces" in capsys.readouterr().err
 
+    def test_negative_max_traces_env_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 2}, seed=0)
+        monkeypatch.setenv("STOCHINV_MAX_TRACES", "-5")
+        assert run_cli("enumerate", "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "STOCHINV_MAX_TRACES" in lines[0]
+
     def test_single_track_sample_is_exit_2(self, tmp_path, monkeypatch, capsys):
         # With one draw per iteration the Monte Carlo stderr would be NaN.
         monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
@@ -708,6 +715,10 @@ class TestConfigHandling:
             ("enumerate", {"theta": {"value": 1e300}}, None, "key 0"),
             ("condcheck", {"theta": {"init": "file", "path": "TMP/theta.json"}},
              {"keys": [0, 1, 2], "theta": [0.0, -800.0, 0.0]}, "key 1"),
+            # A negative cap was reported as exceeded by enumerate and made fit
+            # fall back to Monte Carlo tracking.
+            ("enumerate", {"max_traces": -1}, None, "max_traces"),
+            ("fit", {"max_traces": -1}, None, "max_traces"),
         ],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, fields, theta_doc,

@@ -1,5 +1,7 @@
 """Gradient estimators: exact identities, unbiasedness, variance ordering."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stochinv import (
     SpanningTree,
     ThetaVector,
     TopK,
+    Utilities,
     enumerate_distribution,
     exact_gradient,
     grad_e_reinforce,
@@ -113,6 +116,21 @@ class TestControlVariates:
         assert not bad.self_test(e)
         with pytest.raises(InvalidControlVariateError):
             grad_relax(sdef, theta, lambda x: 0.0, bad, 2)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e13])
+    def test_self_test_resolves_large_utilities(self, scale):
+        # An absolute step vanishes next to 1e13: the difference was 0/0,
+        # NaN compared false and a doubled gradient passed.
+        coeffs = np.array([0.1, 0.2, 0.3])
+        true = quadratic_control_variate(coeffs)
+        doubled = ControlVariate(
+            lambda u: (float(coeffs @ u.values**2), 4.0 * coeffs * u.values)
+        )
+        e = Utilities((0, 1, 2), np.array([0.5, 1.2, 2.0]) * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert true.self_test(e)
+            assert not doubled.self_test(e)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """Enumeration, exact gradients, and the statistical test helpers."""
 
+import copy
 import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from stochinv import (
     InvalidArgumentError,
     InvalidParameterError,
     InvalidTraceError,
+    Matching,
     SpanningTree,
     ThetaVector,
     TopK,
@@ -102,6 +105,32 @@ class TestEnumeration:
         for entry in dist.entries:
             assert entry.prob == pytest.approx(1 / 6, abs=1e-12)
 
+    # "cle" among the representatives is Arborescence K4.
+    @pytest.mark.parametrize(
+        "name, sdef", [*representative_instances(), ("matching4", Matching(4))]
+    )
+    def test_entries_share_equal_objects_and_have_slots(self, name, sdef):
+        theta = seeded_theta(sdef, 15)
+        dist = enumerate_distribution(sdef, theta)
+        entries = dist.entries
+        assert len({id(e.structure) for e in entries}) == len(dist.structure_marginals)
+        levels = [level for e in entries for level in e.trace.levels]
+        assert len({id(level) for level in levels}) == len(set(levels))
+        events = [event for e in entries for event in e.events]
+        assert len({id(event) for event in events}) == len(set(events))
+
+        entry = entries[-1]
+        _value, carried = run_struct(sdef, sample_utilities_matrix(theta, 1, 3)[0])
+        assert carried._walk is not None
+        for obj in (entry, entry.trace, carried):
+            assert not hasattr(obj, "__dict__")
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+                assert twin == obj and hash(twin) == hash(obj)
+        unpickled = pickle.loads(pickle.dumps(carried))
+        assert len(unpickled._walk.frames) == len(carried.levels)
+        np.testing.assert_array_equal(
+            trace_score(sdef, unpickled, theta).values, trace_score(sdef, carried, theta).values
+        )
 
     def test_leaves_no_cyclic_garbage(self):
         for name, sdef in representative_instances():

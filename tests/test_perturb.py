@@ -40,8 +40,13 @@ class TestThetaVector:
 class TestUtilities:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -1.0])
     def test_nonfinite_or_negative_rejected(self, bad):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="'b'"):
             Utilities(("a", "b", "c"), [0.5, bad, 2.0])
+
+    def test_overflowing_draw_names_the_key(self):
+        theta = ThetaVector(("a", "b", "c"), [0.0, 760.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(InvalidParameterError, match="'b'"):
+            sample_utilities(theta, np.random.default_rng(0))
 
     @pytest.mark.parametrize("values", [[-0.0], [], [0.0, 5e-324, 1e308]])
     def test_negative_zero_empty_and_extremes_accepted(self, values):
