@@ -19,7 +19,6 @@ from .core import (
     run_struct,
     trace_log_prob,
     trace_score,
-    value_from_trace,
 )
 from .errors import (
     InfeasibleGraphError,

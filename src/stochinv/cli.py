@@ -128,6 +128,17 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
     raise ConfigError(f"unknown theta init {init!r}")
 
 
+def check_theta_limit(labels, values, mask, where: str = "") -> None:
+    """Reject an unmasked |theta| above ``THETA_LIMIT``, naming the key."""
+    beyond = np.flatnonzero(~mask & (np.abs(values) > THETA_LIMIT))
+    if beyond.size:
+        i = beyond[0]
+        raise ConfigError(
+            f"theta of key {_label_key(labels[i])} is {float(values[i])!r}{where},"
+            f" beyond the limit |theta| <= {THETA_LIMIT:g}"
+        )
+
+
 def decode_target(fit: dict, sdef):
     """The structure the ``fit`` section names in ``fit.target``."""
     if "target" not in fit:
@@ -372,19 +383,23 @@ def _default_loss(sdef):
 class _Adam:
     """First/second-moment adaptive gradient descent step."""
 
-    def __init__(self, step_size=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.step_size = step_size
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = None
-        self.v = None
+    eps = 1e-8
+
+    def __init__(self, spec: dict):
+        """Read and check the settings of the ``optimizer`` section ``spec``."""
+        self.step_size = as_float(spec.get("step_size", 1e-2), "optimizer.step_size")
+        if not self.step_size > 0:
+            raise ConfigError(f"optimizer.step_size must be positive, got {self.step_size!r}")
+        for field, default in (("beta1", 0.9), ("beta2", 0.999)):
+            beta = as_float(spec.get(field, default), f"optimizer.{field}")
+            if not 0 <= beta < 1:
+                raise ConfigError(f"optimizer.{field} must be in [0, 1), got {beta!r}")
+            setattr(self, field, beta)
+        # Zero moments: 0.0 * beta + x is x, as with arrays of zeros.
+        self.m = self.v = 0.0
         self.t = 0
 
     def update(self, theta_values: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.m is None:
-            self.m = np.zeros_like(grad)
-            self.v = np.zeros_like(grad)
         self.t += 1
         self.m = self.beta1 * self.m + (1 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
@@ -413,11 +428,7 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     iterations = as_int(opt_spec.get("iterations", 1000), "optimizer.iterations")
     if iterations < 0:
         raise ConfigError(f"optimizer.iterations must be at least 0, got {iterations}")
-    optimizer = _Adam(
-        step_size=as_float(opt_spec.get("step_size", 1e-2), "optimizer.step_size"),
-        beta1=as_float(opt_spec.get("beta1", 0.9), "optimizer.beta1"),
-        beta2=as_float(opt_spec.get("beta2", 0.999), "optimizer.beta2"),
-    )
+    optimizer = _Adam(opt_spec)
     est_spec = _object(
         config.get("estimator", {"kind": "t_reinforce_plus", "K": 4}), "estimator"
     )
@@ -462,6 +473,7 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         grad = report.gradient.values
         rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(float(np.linalg.norm(grad)))))
         values = optimizer.update(values, grad)
+        check_theta_limit(sdef.key_labels, values, theta.mask, f" at iteration {it + 1}")
 
     if theta_out is not None:
         write_output(dump_json(theta_to_json(theta.replace(values))), *theta_out)
@@ -564,13 +576,7 @@ def main(argv=None) -> int:
         # are the same whether or not a command uses the third (tracking).
         theta_ss, *streams = np.random.SeedSequence(seed).spawn(3)
         theta = build_theta(config, sdef, np.random.default_rng(theta_ss))
-        beyond = np.flatnonzero(~theta.mask & (np.abs(theta.theta) > THETA_LIMIT))
-        if beyond.size:
-            i = beyond[0]
-            raise ConfigError(
-                f"theta of key {_label_key(sdef.key_labels[i])} is {float(theta.theta[i])!r},"
-                f" beyond the limit |theta| <= {THETA_LIMIT:g}"
-            )
+        check_theta_limit(sdef.key_labels, theta.theta, theta.mask)
         write_output(command.run(config, sdef, theta, streams, fmt, n), out, "out")
         return 0
     except (ConfigError, InvalidParameterError, InfeasibleGraphError,

@@ -121,10 +121,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.levels)
 
-    @property
-    def n_events(self) -> int:
-        return sum(len(level) for level in self.levels)
-
     def winners(self) -> tuple:
         return tuple(w for level in self.levels for _, w in level)
 
@@ -190,11 +186,6 @@ def run_struct(sdef: StructureDefinition, utilities):
     walk = _walk_recursion(sdef, argmins)
     levels = tuple(tuple(enumerate(w)) for _K, _R, _parts, w in walk.frames)
     return _fold(walk), _carrying(levels, walk)
-
-
-def value_from_trace(sdef: StructureDefinition, trace: Trace):
-    """Rebuild the structure value a trace determines, without utilities."""
-    return _fold(_walk_of(sdef, trace))
 
 
 class _Walk(NamedTuple):

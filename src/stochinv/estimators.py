@@ -42,6 +42,9 @@ from .errors import (
 )
 from .perturb import GradientVector, ThetaVector, Utilities, as_generator, sample_utilities
 
+SELF_TEST_STEP = 1e-6        # finite-difference step, relative to the utility
+SELF_TEST_TOLERANCE = 1e-4   # allowed gap to the analytic gradient, relative
+
 
 @dataclass
 class EstimatorReport:
@@ -62,14 +65,13 @@ class ControlVariate:
 
     ``value_and_grad(utilities)`` must return (c(e), dc/de) with the
     gradient aligned to the utility keys.  ``self_test`` compares the
-    gradient against central finite differences at the declared tolerance;
+    gradient against central finite differences within ``SELF_TEST_TOLERANCE``;
     the conditional-reparameterization estimator runs it before trusting
     the gradient.
     """
 
-    def __init__(self, value_and_grad: Callable, fd_tolerance: float = 1e-4):
+    def __init__(self, value_and_grad: Callable):
         self.value_and_grad = value_and_grad
-        self.fd_tolerance = fd_tolerance
 
     def __call__(self, utilities: Utilities):
         value, grad = self.value_and_grad(utilities)
@@ -80,17 +82,17 @@ class ControlVariate:
             )
         return float(value), grad
 
-    def self_test(self, utilities: Utilities, step: float = 1e-6) -> bool:
+    def self_test(self, utilities: Utilities) -> bool:
         """Check the gradient by central differences.
 
-        Key i moves by ``step`` relative to its utility (absolute below 1),
-        so the difference stays resolvable however large the utility is;
-        the lower point is clamped at 0.
+        Key i moves by ``SELF_TEST_STEP`` relative to its utility (absolute
+        below 1), so the difference stays resolvable however large the
+        utility is; the lower point is clamped at 0.
         """
         _, grad = self(utilities)
         base = utilities.values
         for i in range(len(base)):
-            h = step * max(1.0, abs(base[i]))
+            h = SELF_TEST_STEP * max(1.0, abs(base[i]))
             up = base.copy()
             up[i] += h
             down = base.copy()
@@ -98,7 +100,7 @@ class ControlVariate:
             v_up, _ = self(Utilities(utilities.keys, up))
             v_down, _ = self(Utilities(utilities.keys, down))
             fd = (v_up - v_down) / (up[i] - down[i])
-            if abs(fd - grad[i]) > self.fd_tolerance * (1.0 + abs(grad[i])):
+            if abs(fd - grad[i]) > SELF_TEST_TOLERANCE * (1.0 + abs(grad[i])):
                 return False
         return True
 

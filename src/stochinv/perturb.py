@@ -49,9 +49,6 @@ class KeyedVector:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, key) -> float:
-        return float(self.values[self.keys.index(key)])
-
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k!r}: {v:.6g}" for k, v in zip(self.keys, self.values))
         return f"{type(self).__name__}({{{pairs}}})"
@@ -127,18 +124,21 @@ def sample_utilities(theta: ThetaVector, rng) -> Utilities:
     exponential, so the same noise vector under a different theta is the
     reparameterized sample map.
     """
-    rng = as_generator(rng)
-    values = unit_exponential(rng, len(theta.keys))
-    values *= np.exp(theta.theta)
-    values[theta.mask] = 0.0
-    return Utilities(theta.keys, values)
+    return Utilities(theta.keys, sample_utilities_matrix(theta, 1, rng)[0])
 
 
 def sample_utilities_matrix(theta: ThetaVector, n_samples: int, rng) -> np.ndarray:
-    """Vectorized form of ``sample_utilities``: an (n_samples, n_keys) array."""
-    rng = as_generator(rng)
-    values = unit_exponential(rng, (n_samples, len(theta.keys)))
-    values *= np.exp(theta.theta)[None, :]
-    values[:, theta.mask] = 0.0
+    """``n_samples`` rows of ``sample_utilities`` as an (n_samples, n_keys)
+    array.  An unmasked draw that overflows raises, naming its key."""
+    values = unit_exponential(as_generator(rng), (n_samples, len(theta.keys)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.exp(theta.theta)
+        scale[theta.mask] = 0.0  # a finite draw times 0.0 is exactly 0.0
+        values *= scale
+    if values.size and not values.max() < np.inf:
+        k = np.flatnonzero(~np.isfinite(values))[0] % len(theta.keys)
+        raise InvalidParameterError(
+            f"theta {float(theta.theta[k])!r} of key {theta.keys[k]!r}"
+            " overflows the utility draw"
+        )
     return values
-

@@ -719,6 +719,15 @@ class TestConfigHandling:
             # fall back to Monte Carlo tracking.
             ("enumerate", {"max_traces": -1}, None, "max_traces"),
             ("fit", {"max_traces": -1}, None, "max_traces"),
+            # A fit iterate past the theta limit ran on, or failed later with a
+            # RuntimeWarning and a utility error naming neither theta nor the
+            # iteration.
+            *[("fit", {"optimizer": {"iterations": 1, "step_size": step}}, None, "iteration 1")
+              for step in (703, 1e6)],
+            # Adam settings that climb the loss or divide by zero.
+            *[("fit", {"optimizer": {"iterations": 1, field: value}}, None, f"optimizer.{field}")
+              for field, value in (("step_size", -1), ("beta1", 1.0), ("beta2", 1.0),
+                                   ("beta2", 1.5))],
         ],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, fields, theta_doc,

@@ -23,7 +23,6 @@ from stochinv import (
     sample_utilities,
     trace_log_prob,
     trace_score,
-    value_from_trace,
 )
 from stochinv.core import _carrying, _walk_of
 from conftest import (
@@ -60,23 +59,31 @@ class TestRunStruct:
         assert x == frozenset({0})
 
     def test_trace_determines_value(self):
+        # Enumeration walks each trace without utilities; the structure it
+        # records for a drawn trace is the one the draw produced.
         for _name, sdef in representative_instances():
             theta = seeded_theta(sdef, 1)
+            dist = enumerate_distribution(sdef, theta)
+            structure_of = {entry.trace: entry.structure for entry in dist.entries}
             rng = np.random.default_rng(0)
             for _ in range(20):
-                e = sample_utilities(theta, rng)
-                x, t = run_struct(sdef, e)
-                assert value_from_trace(sdef, t) == x
+                x, t = run_struct(sdef, sample_utilities(theta, rng))
+                assert structure_of[t] == x
 
     def test_same_trace_implies_same_value(self):
-        # Utilities drawn conditionally on one trace always rebuild it.
+        # Utilities drawn conditionally on one trace always rebuild it, and
+        # so does their frozen-noise replay under another theta.
         for _name, sdef in representative_instances():
             theta = seeded_theta(sdef, 2)
+            other = seeded_theta(sdef, 3)
             rng = np.random.default_rng(1)
             x0, t0 = run_struct(sdef, sample_utilities(theta, rng))
             for _ in range(20):
-                e, _rec = cond_sample(sdef, t0, theta, rng)
+                e, rec = cond_sample(sdef, t0, theta, rng)
                 x, t = run_struct(sdef, e)
+                assert t == t0
+                assert x == x0
+                x, t = run_struct(sdef, replay_conditional(rec, other))
                 assert t == t0
                 assert x == x0
 
@@ -281,7 +288,7 @@ class TestConditionalSampling:
         rng = np.random.default_rng(11)
         _x, t = run_struct(sdef, sample_utilities(theta, rng))
         e_cond, _rec = cond_sample(sdef, t, theta, rng)
-        assert e_cond[1] == 0.0
+        assert e_cond.values[1] == 0.0
 
     def test_masked_survivors_through_contraction(self):
         # A 4-vertex arborescence run that contracts keeps one winner
@@ -398,7 +405,7 @@ class TestRecordedWalk:
             e1, rec1 = cond_sample(sdef, t, theta, np.random.default_rng(i))
             e2, rec2 = cond_sample(sdef, rebuilt, theta, np.random.default_rng(i))
             assert np.array_equal(e1.values, e2.values) and rec1 == rec2
-            assert value_from_trace(sdef, t) == value_from_trace(sdef, rebuilt) == x
+            assert run_struct(sdef, e2) == (x, t)
 
     @pytest.mark.parametrize(
         "other",
@@ -417,7 +424,6 @@ class TestRecordedWalk:
             lambda t: trace_log_prob(other, t, other_theta),
             lambda t: trace_score(other, t, other_theta).values.tolist(),
             lambda t: cond_sample(other, t, other_theta, np.random.default_rng(0))[1],
-            lambda t: value_from_trace(other, t),
         )
         for _ in range(10):
             _x, t = run_struct(sdef, sample_utilities(theta, rng))

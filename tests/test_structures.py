@@ -315,7 +315,7 @@ class TestArborescence:
         neg = -theta.theta
         dist = enumerate_distribution(sdef, theta)
         with_rewins = [
-            e for e in dist.entries if e.trace.n_events > len(e.events)
+            e for e in dist.entries if sum(map(len, e.trace.levels)) > len(e.events)
         ]
         assert with_rewins, "expected traces with deterministic re-wins"
         for entry in with_rewins:
