@@ -121,9 +121,15 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
             raise ConfigError(f"theta file {path} must be an object with 'keys' and 'theta'")
         if doc["keys"] != json.loads(json.dumps(sdef.key_labels)):
             raise ConfigError(f"theta file {path}: keys do not match the configured structure")
+        # numpy would coerce booleans, strings and nulls; take only JSON's own types.
+        values, mask = doc["theta"], doc.get("mask")
+        if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+            raise ConfigError(f"theta file {path}: theta must be a list of numbers, got {values!r}")
+        if mask is not None and not (isinstance(mask, list) and all(type(m) is bool for m in mask)):
+            raise ConfigError(f"theta file {path}: mask must be a list of booleans, got {mask!r}")
         try:
-            return ThetaVector(sdef.key_labels, doc["theta"], doc.get("mask"))
-        except (TypeError, ValueError, InvalidParameterError) as exc:
+            return ThetaVector(sdef.key_labels, values, mask)
+        except (OverflowError, InvalidParameterError) as exc:
             raise ConfigError(f"theta file {path}: {exc}") from exc
     raise ConfigError(f"unknown theta init {init!r}")
 
@@ -145,7 +151,7 @@ def decode_target(fit: dict, sdef):
         raise ConfigError("fit needs a 'fit.target' structure")
     try:
         target = sdef.decode_value(fit["target"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"malformed fit.target: {exc}") from exc
     check = sdef.validate_value(target)
     if not check:

@@ -20,9 +20,8 @@ This module implements, over any such definition:
 
 A trace returned by ``run_struct`` carries its walk of the recursion, so
 the others score or resample it under the same definition without walking
-again; a trace built any other way is validated by walking as it dictates,
-reusing the levels it shares with an earlier walked trace where one is
-given.
+again; a trace built any other way is validated by walking the recursion
+from the root as it dictates.
 
 Winners are removed from play by marking their rate infinite (tracked as a
 mask, never as a floating +inf): their residual utility is the constant 0,
@@ -41,6 +40,7 @@ import numpy as np
 from .errors import (
     InvalidArgumentError,
     InvalidTraceError,
+    MaskedPartitionError,
     StructureDefinitionError,
 )
 from .perturb import (
@@ -204,19 +204,15 @@ def _carrying(levels: tuple, walk: _Walk) -> Trace:
     return trace
 
 
-def _walk_recursion(sdef: StructureDefinition, choose, start: Optional[_Walk] = None) -> _Walk:
-    """Walk the recursion, taking each level's winners from ``choose(parts)``.
+def _walk_recursion(sdef: StructureDefinition, choose) -> _Walk:
+    """Walk the recursion from the root, taking each level's winners from
+    ``choose(parts)``.
 
-    The walk starts at the root, or continues the partial walk ``start``
-    (whose frame list it extends).  The recursion is a chain, so the loop
-    is iterative and ``_fold`` folds the stacked frames back with
-    ``combine`` in reverse.
+    The recursion is a chain, so the loop is iterative and ``_fold`` folds
+    the stacked frames back with ``combine`` in reverse.
     """
-    if start is None:
-        frames = []
-        K, R = sdef.initial_state()
-    else:
-        frames, K, R = start.frames, start.K, start.R
+    frames = []
+    K, R = sdef.initial_state()
     while not sdef.stop(K, R):
         parts = sdef.split(K, R)
         _check_partition(parts, K)
@@ -235,37 +231,15 @@ def _fold(walk: _Walk):
     return walk.sdef.finish(value)
 
 
-def _carried(sdef: StructureDefinition, trace: Optional[Trace]) -> Optional[_Walk]:
-    walk = trace._walk if trace is not None else None
-    return walk if walk is not None and walk.sdef is sdef else None
-
-
-def _walk_of(sdef: StructureDefinition, trace: Trace, after: Optional[Trace] = None) -> _Walk:
+def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
     """The walk ``run_struct`` stored in ``trace`` for this very ``sdef``
     object; otherwise a walk as the trace dictates, raising InvalidTraceError
     where it disagrees with the control flow.
-
-    If ``after`` carries its walk under ``sdef``, the leading levels the
-    two traces share are taken from that walk, which checked them already,
-    and only the levels from the first difference on are walked.  Traces
-    in depth-first order share most of their levels this way.
     """
-    walk = _carried(sdef, trace)
-    if walk is not None:
+    walk = trace._walk
+    if walk is not None and walk.sdef is sdef:
         return walk
-    start = None
-    shared = 0
-    prior = _carried(sdef, after)
-    if prior is not None:
-        for level, prior_level in zip(trace.levels, after.levels):
-            if level != prior_level:
-                break
-            shared += 1
-        # Resume at the state the prior walk reached after the shared levels.
-        frames = prior.frames
-        K, R = frames[shared][:2] if shared < len(frames) else (prior.K, prior.R)
-        start = _Walk(sdef, frames[:shared], K, R)
-    levels = iter(trace.levels[shared:])
+    levels = iter(trace.levels)
 
     def recorded(parts):
         level = next(levels, None)
@@ -280,7 +254,7 @@ def _walk_of(sdef: StructureDefinition, trace: Trace, after: Optional[Trace] = N
                 raise InvalidTraceError(f"event ({pi}, {w}) not in partition {i}")
         return [w for _pi, w in level]
 
-    walk = _walk_recursion(sdef, recorded, start)
+    walk = _walk_recursion(sdef, recorded)
     if len(walk.frames) != len(trace.levels):
         raise InvalidTraceError("trace is longer than the recursion")
     return walk
@@ -291,14 +265,18 @@ def _check_theta(sdef: StructureDefinition, theta: ThetaVector) -> None:
         raise InvalidArgumentError("theta keys do not match the definition")
 
 
-def _forced_winner(P, mask: list) -> Optional[int]:
+def _forced_winner(P, mask: list, labels: tuple) -> Optional[int]:
     """The key of partition ``P`` already out of play under ``mask``, which
-    wins the partition deterministically, or None if the event is stochastic."""
+    wins the partition deterministically, or None if the event is stochastic.
+    Two such keys are an error that names them by their ``labels``."""
     forced = None
     for k in P:
         if mask[k]:
             if forced is not None:
-                raise StructureDefinitionError("two deterministic keys share a partition")
+                raise MaskedPartitionError(
+                    f"keys {labels[forced]!r} and {labels[k]!r} share a partition"
+                    " but are both masked"
+                )
             forced = k
     return forced
 
@@ -311,9 +289,10 @@ def _stochastic_events(walk: _Walk, mask: list):
     holds a masked key is deterministic: it yields nothing when that key
     wins and raises InvalidTraceError (probability zero) when another does.
     """
+    labels = walk.sdef.key_labels
     for _K, _R, parts, winners in walk.frames:
         for P, w in zip(parts, winners):
-            forced = _forced_winner(P, mask)
+            forced = _forced_winner(P, mask, labels)
             if forced is None:
                 yield P, w
             elif forced != w:

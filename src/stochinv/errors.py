@@ -21,6 +21,10 @@ class StructureDefinitionError(StochinvError):
     (bad partition, non-shrinking key set, double-masked partition)."""
 
 
+class MaskedPartitionError(StructureDefinitionError, InvalidParameterError):
+    """Two masked keys share a partition: a definition or a theta mask fault."""
+
+
 class InvalidTraceError(StochinvError):
     """A trace cannot have been produced by the given definition."""
 

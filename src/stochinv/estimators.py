@@ -152,6 +152,18 @@ def _report(theta, contributions, samples_used, keep) -> EstimatorReport:
     )
 
 
+def _draws(sdef, theta, loss, n_samples: int, rng):
+    """Yield ``(child, e, trace, loss value)`` for each of ``n_samples``
+    child streams spawned from ``rng``: the utilities drawn from the child,
+    the trace they run to, and the loss of the structure."""
+    if n_samples < 1:
+        raise InvalidParameterError("n_samples must be at least 1")
+    for child in as_generator(rng).spawn(n_samples):
+        e = sample_utilities(theta, child)
+        x, trace = run_struct(sdef, e)
+        yield child, e, trace, _loss_value(loss, x)
+
+
 def grad_e_reinforce(
     sdef: StructureDefinition,
     theta: ThetaVector,
@@ -161,14 +173,10 @@ def grad_e_reinforce(
     keep_per_sample: bool = False,
 ) -> EstimatorReport:
     """REINFORCE with the utility-space score: mean of L(X(e)) * score_E(e)."""
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be at least 1")
-    children = as_generator(rng).spawn(n_samples)
-    contributions = []
-    for child in children:
-        e = sample_utilities(theta, child)
-        x, _trace = run_struct(sdef, e)
-        contributions.append(_loss_value(loss, x) * utility_score(theta, e))
+    contributions = [
+        value * utility_score(theta, e)
+        for _child, e, _trace, value in _draws(sdef, theta, loss, n_samples, rng)
+    ]
     return _report(theta, contributions, n_samples, keep_per_sample)
 
 
@@ -181,15 +189,10 @@ def grad_t_reinforce(
     keep_per_sample: bool = False,
 ) -> EstimatorReport:
     """REINFORCE with the trace score: mean of L(X(t)) * score_T(t)."""
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be at least 1")
-    children = as_generator(rng).spawn(n_samples)
-    contributions = []
-    for child in children:
-        e = sample_utilities(theta, child)
-        x, trace = run_struct(sdef, e)
-        score = trace_score(sdef, trace, theta)
-        contributions.append(_loss_value(loss, x) * score.values)
+    contributions = [
+        value * trace_score(sdef, trace, theta).values
+        for _child, _e, trace, value in _draws(sdef, theta, loss, n_samples, rng)
+    ]
     return _report(theta, contributions, n_samples, keep_per_sample)
 
 
@@ -216,16 +219,14 @@ def grad_loo(
         raise InvalidParameterError(f"unknown score space {space!r}")
     if n_batches < 1:
         raise InvalidParameterError("n_batches must be at least 1")
-    children = as_generator(rng).spawn(n_batches * k_samples)
+    draws = _draws(sdef, theta, loss, n_batches * k_samples, rng)
     batch_estimates = []
-    for b in range(n_batches):
+    for _b in range(n_batches):
         losses = np.empty(k_samples)
         scores = np.empty((k_samples, len(theta.keys)))
-        for j in range(k_samples):
-            child = children[b * k_samples + j]
-            e = sample_utilities(theta, child)
-            x, trace = run_struct(sdef, e)
-            losses[j] = _loss_value(loss, x)
+        # range comes first, so zip takes exactly k_samples draws.
+        for j, (_child, e, trace, value) in zip(range(k_samples), draws):
+            losses[j] = value
             if space == "trace":
                 scores[j] = trace_score(sdef, trace, theta).values
             else:
@@ -254,23 +255,15 @@ def grad_relax(
     where the last term flows through the pathwise derivative of the
     sample map (e_k per coordinate) and the middle one through the
     vector-Jacobian product of the conditional build record.  With c = 0
-    this is exactly the trace-score estimator, sample for sample.
+    this is exactly the trace-score estimator, sample for sample.  The
+    control variate's gradient is checked on the first sample.
     """
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be at least 1")
-    children = as_generator(rng).spawn(n_samples)
     contributions = []
-    tested = False
-    for child in children:
-        e = sample_utilities(theta, child)
-        if not tested:
-            if not control_variate.self_test(e):
-                raise InvalidControlVariateError(
-                    "control variate gradient disagrees with finite differences"
-                )
-            tested = True
-        x, trace = run_struct(sdef, e)
-        loss_value = _loss_value(loss, x)
+    for child, e, trace, loss_value in _draws(sdef, theta, loss, n_samples, rng):
+        if not contributions and not control_variate.self_test(e):
+            raise InvalidControlVariateError(
+                "control variate gradient disagrees with finite differences"
+            )
         e_cond, record = cond_sample(sdef, trace, theta, child)
         c_cond, dc_cond = control_variate(e_cond)
         c_direct_grad = control_variate(e)[1] * e.values

@@ -8,8 +8,9 @@ forced branch, by the masked-key rule ``core`` applies when scoring).  The
 search calls ``split`` and ``map`` once per node of the trace tree and
 folds each leaf's frames with ``core``'s fold.  Everything downstream
 (exact expected losses, exact gradients, goodness-of-fit tests) reduces to
-sums over the enumerated support; ``exact_gradient`` re-validates the
-traces with walks shared across their common prefixes.
+sums over the enumerated support; ``exact_gradient`` runs the same search
+again in step with the entries, which checks them and gives
+``trace_score`` each leaf's walk.
 
 Traces far outnumber the distinct objects they are made of (Matching(5) has
 14400 traces but 120 structures), so one enumeration shares immutable
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,16 +33,17 @@ from .core import (
     _carrying,
     _check_partition,
     _check_shrink,
+    _check_theta,
     _fold,
     _forced_winner,
     _Walk,
-    _walk_of,
     trace_score,
 )
 from .errors import (
     InstanceTooLargeError,
     InvalidArgumentError,
     InvalidParameterError,
+    InvalidTraceError,
 )
 from .perturb import GradientVector, ThetaVector
 
@@ -79,27 +82,17 @@ class EnumeratedDistribution:
         return math.fsum(entry.prob for entry in self.entries)
 
 
-def enumerate_distribution(
-    sdef: StructureDefinition,
-    theta: ThetaVector,
-    max_traces: int = DEFAULT_MAX_TRACES,
-) -> EnumeratedDistribution:
-    """Exhaustively enumerate (trace, probability, structure) triples.
-
-    Probabilities accumulate in log space along each path and are
-    exponentiated once per leaf.  Raises InstanceTooLargeError as soon as
-    the number of complete traces would exceed ``max_traces``.
+def _leaves(sdef: StructureDefinition, theta: ThetaVector):
+    """Yield ``(walk, levels, events, logp)`` per leaf of ``sdef``'s trace
+    tree under ``theta``, depth first.  The walk's frames and the list of
+    stochastic (winner, partition) events are live: they change when the
+    search resumes.  Each distinct partition's logsumexp is computed once.
     """
-    if theta.keys != sdef.key_labels:
-        raise InvalidArgumentError("theta keys do not match the definition")
+    _check_theta(sdef, theta)
     neg_theta = (-theta.theta).tolist()
     mask = theta.mask.tolist()
-    entries = []
-    marginals = {}
-    # Equal immutable objects are shared across the entries: structure
-    # values keyed by their encoding, level tuples by the level's winners,
-    # stochastic events by themselves.
-    values, level_tuples, shared_events = {}, {}, {}
+    labels = sdef.key_labels
+    level_tuples, shared_events, lses = {}, {}, {}
 
     # Iterative depth-first search over one mutable path: the finished
     # levels' frames and trace levels, the stochastic events so far (whose
@@ -115,16 +108,7 @@ def enumerate_distribution(
         while True:
             if parts is None:
                 if sdef.stop(K, R):
-                    if len(entries) >= max_traces:
-                        raise InstanceTooLargeError(max_traces, len(entries) + 1)
-                    value = _fold(_Walk(sdef, frames, K, R))
-                    encoded = sdef.encode_value(value)
-                    value = values.setdefault(encoded, value)
-                    prob = math.exp(logp)
-                    entries.append(
-                        TraceEntry(Trace(tuple(levels)), logp, prob, value, tuple(events))
-                    )
-                    marginals[encoded] = marginals.get(encoded, 0.0) + prob
+                    yield _Walk(sdef, frames, K, R), tuple(levels), events, logp
                     break
                 parts = sdef.split(K, R)
                 _check_partition(parts, K)
@@ -142,20 +126,22 @@ def enumerate_distribution(
                 K, R, parts = K_next, R_next, None
                 continue
             P = parts[len(winners)]
-            forced = _forced_winner(P, mask)
+            forced = _forced_winner(P, mask, labels)
             if forced is not None:
                 winners.append(forced)
                 continue
-            scores = [neg_theta[k] for k in P]
-            m = max(scores)
-            lse = m + math.log(math.fsum([math.exp(a - m) for a in scores]))
+            lse = lses.get(P)
+            if lse is None:
+                scores = [neg_theta[k] for k in P]
+                m = max(scores)
+                lse = lses[P] = m + math.log(math.fsum([math.exp(a - m) for a in scores]))
             stack.append(
                 [0, lse, logp, K, R, parts, winners, len(winners), len(frames), len(events)]
             )
             break
         # Take the next branch of the deepest event that has one left.
         if not stack:
-            break
+            return
         item = stack[-1]
         branch, lse, logp, K, R, parts, winners, i, n_frames, n_events = item
         for w, _P in events[n_events:]:
@@ -172,6 +158,31 @@ def enumerate_distribution(
         events.append(shared_events.setdefault(event, event))
         winners.append(w)
         logp = logp + neg_theta[w] - lse
+
+
+def enumerate_distribution(
+    sdef: StructureDefinition,
+    theta: ThetaVector,
+    max_traces: int = DEFAULT_MAX_TRACES,
+) -> EnumeratedDistribution:
+    """Exhaustively enumerate (trace, probability, structure) triples.
+
+    Probabilities accumulate in log space along each path and are
+    exponentiated once per leaf.  Raises InstanceTooLargeError as soon as
+    the number of complete traces would exceed ``max_traces``.
+    """
+    entries = []
+    marginals = {}
+    values = {}  # one object per distinct structure, keyed by its encoding
+    for walk, levels, events, logp in _leaves(sdef, theta):
+        if len(entries) >= max_traces:
+            raise InstanceTooLargeError(max_traces, len(entries) + 1)
+        value = _fold(walk)
+        encoded = sdef.encode_value(value)
+        value = values.setdefault(encoded, value)
+        prob = math.exp(logp)
+        entries.append(TraceEntry(Trace(levels), logp, prob, value, tuple(events)))
+        marginals[encoded] = marginals.get(encoded, 0.0) + prob
     return EnumeratedDistribution(sdef.key_labels, tuple(entries), marginals)
 
 
@@ -185,22 +196,23 @@ def exact_gradient(
 
     Computed as sum over traces of p(t) * L(X(t)) * score(t), which equals
     the gradient of the expectation because the score has zero mean.  The
-    distribution must have been enumerated under the same theta.  Each
-    scored trace is validated against ``sdef`` by a walk that reuses the
-    levels it shares with the trace scored before it (enumeration order
-    is depth-first, so that is most of them), and ``trace_score`` reads
-    that walk instead of walking again.
+    distribution must be the enumeration of ``sdef`` under this theta: the
+    search is walked again in step with its entries, raising
+    InvalidTraceError where an entry's levels or the number of entries
+    differ, and ``trace_score`` reads each leaf's walk instead of walking.
     """
     if dist.key_labels != theta.keys:
         raise InvalidArgumentError("distribution keys do not match theta")
     grad = np.zeros(len(theta.keys))
-    previous = None
-    for entry in dist.entries:
+    for entry, leaf in zip_longest(dist.entries, _leaves(sdef, theta)):
+        if entry is None or leaf is None or entry.trace.levels != leaf[1]:
+            raise InvalidTraceError(
+                "the distribution is not the enumeration of the definition under theta"
+            )
         weight = entry.prob * float(loss(entry.structure))
         if weight != 0.0:
-            walk = _walk_of(sdef, entry.trace, previous)
-            previous = _carrying(entry.trace.levels, walk)
-            grad += weight * trace_score(sdef, previous, theta).values
+            trace = _carrying(entry.trace.levels, leaf[0])
+            grad += weight * trace_score(sdef, trace, theta).values
     return GradientVector(theta.keys, grad)
 
 

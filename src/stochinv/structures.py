@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional
 
 from .core import StructureDefinition
@@ -51,8 +52,11 @@ def _fail(reason: str) -> ValidationResult:
 _OK = ValidationResult(True)
 
 
+_label = partial(as_int, field="each label")  # reads a decoded value's labels
+
+
 def _edges_from_json(doc) -> frozenset:
-    return frozenset((int(u), int(v)) for u, v in doc)
+    return frozenset((_label(u), _label(v)) for u, v in doc)
 
 
 class _SetValued(StructureDefinition):
@@ -102,7 +106,7 @@ class TopK(_SetValued):
         return (child or frozenset()) | {winners[0]}
 
     def decode_value(self, doc):
-        return frozenset(int(x) for x in doc)
+        return frozenset(map(_label, doc))
 
     def validate_value(self, value):
         if len(value) != self.k:
@@ -148,7 +152,7 @@ class Argsort(StructureDefinition):
         return (winners[0],) + (child or ())
 
     def decode_value(self, doc):
-        return tuple(int(x) for x in doc)
+        return tuple(map(_label, doc))
 
     def validate_value(self, value):
         if len(value) != self.d:
@@ -264,7 +268,7 @@ class BinaryTree(StructureDefinition):
         if doc is None:
             return None
         key, left, right = doc
-        return TreeNode(int(key), self.decode_value(left), self.decode_value(right))
+        return TreeNode(_label(key), self.decode_value(left), self.decode_value(right))
 
     def validate_value(self, value):
         if value is None:

@@ -645,6 +645,55 @@ class TestConfigHandling:
         assert "fit.target is not a valid structure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["variance", "fit"])
+    @pytest.mark.parametrize(
+        "structure, graph, target",
+        [
+            ({"kind": "top_k", "d": 3, "k": 2}, None, [True, 0.9]),
+            ({"kind": "argsort", "d": 3}, None, [0, 1, 2.5]),
+            ({"kind": "matching", "n": 2}, None, [[0, 0], [True, 1]]),
+            ({"kind": "binary_tree", "n": 2}, None, [0, None, [1.5, None, None]]),
+            ({"kind": "spanning_tree"}, K4_UNDIRECTED, [[0, 1], [1, 2], [2, 3.5]]),
+            ({"kind": "arborescence"}, K3_DIRECTED, [[0, 1], [True, 2]]),
+        ],
+        ids=["top_k", "argsort", "matching", "binary_tree", "spanning_tree", "arborescence"],
+    )
+    def test_target_label_not_an_integer_is_exit_2(self, tmp_path, capsys, command,
+                                                    structure, graph, target):
+        # int() truncated these labels to a valid target, and the command ran.
+        if graph is not None:
+            structure = {**structure, "graph": write_graph(tmp_path, graph)}
+        cfg = write_config(
+            tmp_path,
+            structure=structure,
+            estimators=[{"kind": "t_reinforce"}],
+            n_samples=4,
+            optimizer={"iterations": 1},
+            fit={"target": target},
+            seed=0,
+        )
+        assert run_cli(command, "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "malformed fit.target" in lines[0]
+
+    @pytest.mark.parametrize("command", ["variance", "fit"])
+    def test_target_labels_take_integral_numbers_and_integer_strings(self, tmp_path,
+                                                                      command):
+        outs = []
+        for target in ([1, 0], ["1", 0.0]):
+            cfg = write_config(
+                tmp_path,
+                structure={"kind": "top_k", "d": 3, "k": 2},
+                estimators=[{"kind": "t_reinforce"}],
+                n_samples=4,
+                optimizer={"iterations": 1},
+                fit={"target": target},
+                seed=0,
+            )
+            outs.append(tmp_path / f"{len(outs)}.csv")
+            assert run_cli(command, "--config", cfg, "--out", str(outs[-1])) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["variance", "fit"])
     def test_target_with_unknown_vertex_is_exit_2(self, tmp_path, capsys, command):
         graph = write_graph(tmp_path, K4_UNDIRECTED)
         cfg = write_config(
@@ -728,6 +777,26 @@ class TestConfigHandling:
             *[("fit", {"optimizer": {"iterations": 1, field: value}}, None, f"optimizer.{field}")
               for field, value in (("step_size", -1), ("beta1", 1.0), ("beta2", 1.0),
                                    ("beta2", 1.5))],
+            # Theta file entries were coerced by numpy: 0 and "no" unmasked and
+            # masked a key, true ran as theta 1, and an integer too large for
+            # a float raised OverflowError.
+            *[
+                ("enumerate", {"theta": {"init": "file", "path": "TMP/theta.json"}},
+                 {"keys": [0, 1, 2], **doc}, name)
+                for doc, name in (
+                    ({"theta": [0, 0, 0], "mask": [0, "no", 0]},
+                     "mask must be a list of booleans"),
+                    ({"theta": [True, 0, 0]}, "theta must be a list of numbers"),
+                    ({"theta": [10**400, 0, 0]}, "TMP/theta.json"),
+                )
+            ],
+            # Two masked keys in one partition were an internal error.
+            *[
+                (command, {"theta": {"init": "file", "path": "TMP/theta.json"}},
+                 {"keys": [0, 1, 2], "theta": [0, 0, 0], "mask": [True, True, False]},
+                 "keys 0 and 1")
+                for command in ("enumerate", "sample")
+            ],
         ],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, fields, theta_doc,

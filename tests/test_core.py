@@ -24,7 +24,6 @@ from stochinv import (
     trace_log_prob,
     trace_score,
 )
-from stochinv.core import _carrying, _walk_of
 from conftest import (
     complete_digraph,
     complete_graph,
@@ -435,56 +434,6 @@ class TestRecordedWalk:
                         call(t)
                 else:
                     assert call(t) == expected
-
-
-class TestPrefixSharedWalk:
-    """``_walk_of(sdef, trace, after)`` reuses the levels shared with ``after``."""
-
-    @pytest.mark.parametrize(
-        "sdef",
-        [sdef for _name, sdef in representative_instances()]
-        + [Arborescence(range(5), complete_digraph(5), 0)],
-        ids=[name for name, _sdef in representative_instances()] + ["cle_K5"],
-    )
-    def test_frames_equal_a_walk_from_the_root(self, sdef):
-        dist = enumerate_distribution(sdef, seeded_theta(sdef, 18))
-        previous = None
-        for entry in dist.entries:
-            walk = _walk_of(sdef, entry.trace, previous)
-            fresh = _walk_of(sdef, Trace(entry.trace.levels))
-            assert walk.frames == fresh.frames
-            assert (walk.K, walk.R) == (fresh.K, fresh.R)
-            previous = _carrying(entry.trace.levels, walk)
-
-    def test_departure_after_a_valid_trace_is_checked(self):
-        sdef = Arborescence(range(4), complete_digraph(4), 0)
-        theta = seeded_theta(sdef, 19)
-        rng = np.random.default_rng(20)
-        # A trace through a contraction, so it has a second level.
-        valid = next(
-            t for _x, t in (run_struct(sdef, sample_utilities(theta, rng)) for _ in range(200))
-            if len(t.levels) >= 2
-        )
-        # Same first level, then a winner outside its partition at level 2.
-        partition = _walk_of(sdef, Trace(valid.levels)).frames[1][2][0]
-        outsider = next(k for k in range(sdef.n_keys) if k not in partition)
-        impossible = (
-            valid.levels[:1] + (((0, outsider),) + valid.levels[1][1:],) + valid.levels[2:]
-        )
-        with pytest.raises(InvalidTraceError):
-            _walk_of(sdef, Trace(impossible), valid)
-        with pytest.raises(InvalidTraceError):
-            _walk_of(sdef, Trace(valid.levels[:-1]), valid)
-        with pytest.raises(InvalidTraceError):
-            _walk_of(sdef, Trace(valid.levels + valid.levels[-1:]), valid)
-
-    def test_walk_of_another_definition_is_not_reused(self):
-        sdef = TopK(4, 2)
-        other = TopK(4, 3)
-        _x, t = run_struct(other, [0.1, 0.2, 0.3, 0.4])
-        # Under ``sdef`` the recursion stops after two levels.
-        with pytest.raises(InvalidTraceError):
-            _walk_of(sdef, Trace(t.levels), t)
 
 
 class _EmptyPartition(TopK):

@@ -280,6 +280,28 @@ class TestExactGradient:
         with pytest.raises(InvalidTraceError):
             exact_gradient(tampered, sdef, theta, lambda x: 1.0)
 
+    @pytest.mark.parametrize(
+        "case", ["truncated", "extra_entry", "other_definition", "other_mask"]
+    )
+    def test_distribution_not_enumerated_under_sdef_and_theta_raises(self, case):
+        sdef = TopK(4, 2)
+        theta = seeded_theta(sdef, 21)
+        dist = enumerate_distribution(sdef, theta)
+        if case == "truncated":
+            entries = dist.entries[:-1]
+        elif case == "extra_entry":
+            entries = dist.entries + dist.entries[:1]
+        elif case == "other_definition":
+            entries = enumerate_distribution(TopK(4, 3), theta).entries
+        else:
+            mask = np.zeros(sdef.n_keys, dtype=bool)
+            mask[1] = True
+            masked = ThetaVector(sdef.key_labels, theta.theta, mask)
+            entries = enumerate_distribution(sdef, masked).entries
+        other = EnumeratedDistribution(dist.key_labels, entries, dist.structure_marginals)
+        with pytest.raises(InvalidTraceError):
+            exact_gradient(other, sdef, theta, lambda x: 1.0)
+
 
 class TestChiSquare:
     def test_proportional_counts_are_perfect(self):
