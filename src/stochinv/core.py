@@ -18,10 +18,10 @@ This module implements, over any such definition:
   build record from which vector-Jacobian products and frozen-noise
   replays are cheap.
 
-A trace returned by ``run_struct`` carries its walk of the recursion, so
-the others score or resample it under the same definition without walking
-again; a trace built any other way is validated by walking the recursion
-from the root as it dictates.
+Every walk of the recursion is the one depth-first walker ``_walks``.  A
+trace returned by ``run_struct`` carries its walk, so the others score or
+resample it under the same definition without walking again; a trace built
+any other way is validated by a walk that its recorded winners steer.
 
 Winners are removed from play by marking their rate infinite (tracked as a
 mask, never as a floating +inf): their residual utility is the constant 0,
@@ -181,9 +181,9 @@ def run_struct(sdef: StructureDefinition, utilities):
             for k in P:
                 e[k] -= best_val
             winners.append(best)
-        return winners
+        return (winners,)
 
-    walk = _walk_recursion(sdef, argmins)
+    walk = next(_walks(sdef, argmins))
     levels = tuple(tuple(enumerate(w)) for _K, _R, _parts, w in walk.frames)
     return _fold(walk), _carrying(levels, walk)
 
@@ -204,24 +204,36 @@ def _carrying(levels: tuple, walk: _Walk) -> Trace:
     return trace
 
 
-def _walk_recursion(sdef: StructureDefinition, choose) -> _Walk:
-    """Walk the recursion from the root, taking each level's winners from
-    ``choose(parts)``.
-
-    The recursion is a chain, so the loop is iterative and ``_fold`` folds
-    the stacked frames back with ``combine`` in reverse.
+def _walks(sdef: StructureDefinition, choose):
+    """Yield a ``_Walk``, with live frames, per leaf of the recursion, depth
+    first from the root.  ``choose(parts)`` returns a level's nonempty
+    iterable of winner sequences; the next is taken when the walk resumes,
+    so a generator ``choose`` may hold per-branch state around its yield.
     """
-    frames = []
+    frames, open_levels = [], []
     K, R = sdef.initial_state()
-    while not sdef.stop(K, R):
-        parts = sdef.split(K, R)
-        _check_partition(parts, K)
-        winners = choose(parts)
+    while True:
+        if sdef.stop(K, R):
+            yield _Walk(sdef, frames, K, R)
+        else:
+            parts = sdef.split(K, R)
+            _check_partition(parts, K)
+            open_levels.append((K, R, parts, iter(choose(parts))))
+            frames.append(None)
+        # Take the next branch of the deepest level that has one left.
+        while open_levels:
+            K, R, parts, branches = open_levels[-1]
+            winners = next(branches, None)
+            if winners is not None:
+                break
+            open_levels.pop()
+            frames.pop()
+        else:
+            return
         K_next, R_next = sdef.map(K, R, winners)
         _check_shrink(K_next, K)
-        frames.append((K, R, parts, winners))
+        frames[-1] = (K, R, parts, winners)
         K, R = K_next, R_next
-    return _Walk(sdef, frames, K, R)
 
 
 def _fold(walk: _Walk):
@@ -252,9 +264,9 @@ def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
         for i, (pi, w) in enumerate(level):
             if pi != i or w not in parts[i]:
                 raise InvalidTraceError(f"event ({pi}, {w}) not in partition {i}")
-        return [w for _pi, w in level]
+        return ([w for _pi, w in level],)
 
-    walk = _walk_recursion(sdef, recorded)
+    walk = next(_walks(sdef, recorded))
     if len(walk.frames) != len(trace.levels):
         raise InvalidTraceError("trace is longer than the recursion")
     return walk

@@ -23,6 +23,7 @@ order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -137,7 +138,7 @@ def utility_score(theta: ThetaVector, utilities: Utilities) -> np.ndarray:
 
 def _loss_value(loss: Callable, structure) -> float:
     value = float(loss(structure))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidArgumentError(f"loss returned a non-finite value {value}")
     return value
 

@@ -5,12 +5,12 @@ recursion's control flow is replayed, but instead of taking argmins each
 stochastic event branches over every key of its partition with the
 categorical probability the rates imply (deterministic events take their
 forced branch, by the masked-key rule ``core`` applies when scoring).  The
-search calls ``split`` and ``map`` once per node of the trace tree and
-folds each leaf's frames with ``core``'s fold.  Everything downstream
-(exact expected losses, exact gradients, goodness-of-fit tests) reduces to
-sums over the enumerated support; ``exact_gradient`` runs the same search
-again in step with the entries, which checks them and gives
-``trace_score`` each leaf's walk.
+search is ``core._walks``, the one walk of the recursion, given every
+branch of each level; each leaf's frames fold with ``core``'s fold.
+Everything downstream (exact expected losses, exact gradients,
+goodness-of-fit tests) reduces to sums over the enumerated support;
+``exact_gradient`` runs the same search again in step with the entries,
+which checks them and gives ``trace_score`` each leaf's walk.
 
 Traces far outnumber the distinct objects they are made of (Matching(5) has
 14400 traces but 120 structures), so one enumeration shares immutable
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Callable, Mapping
 
 import numpy as np
@@ -31,12 +31,10 @@ from .core import (
     StructureDefinition,
     Trace,
     _carrying,
-    _check_partition,
-    _check_shrink,
     _check_theta,
     _fold,
     _forced_winner,
-    _Walk,
+    _walks,
     trace_score,
 )
 from .errors import (
@@ -45,6 +43,7 @@ from .errors import (
     InvalidParameterError,
     InvalidTraceError,
 )
+from .estimators import _loss_value
 from .perturb import GradientVector, ThetaVector
 
 DEFAULT_MAX_TRACES = 10**6
@@ -93,71 +92,47 @@ def _leaves(sdef: StructureDefinition, theta: ThetaVector):
     mask = theta.mask.tolist()
     labels = sdef.key_labels
     level_tuples, shared_events, lses = {}, {}, {}
+    # The open path's trace levels, stochastic events (whose winners are
+    # exactly the keys masked since the root) and log-probability.
+    levels, events, logp = [], [], 0.0
 
-    # Iterative depth-first search over one mutable path: the finished
-    # levels' frames and trace levels, the stochastic events so far (whose
-    # winners are exactly the keys masked since the root), and the open
-    # level's (K, R, parts, winners).  Each stack item owns one stochastic
-    # event's remaining branches and the path lengths to cut back to, so a
-    # partially explored level resumes where it left off.
-    frames, levels, events, stack = [], [], [], []
-    K, R = sdef.initial_state()
-    parts, winners, logp = None, [], 0.0
-    while True:
-        # Extend the path until a stochastic event or a leaf.
-        while True:
-            if parts is None:
-                if sdef.stop(K, R):
-                    yield _Walk(sdef, frames, K, R), tuple(levels), events, logp
-                    break
-                parts = sdef.split(K, R)
-                _check_partition(parts, K)
-                winners = []
-            if len(winners) == len(parts):
-                chosen = list(winners)
-                K_next, R_next = sdef.map(K, R, chosen)
-                _check_shrink(K_next, K)
-                frames.append((K, R, parts, chosen))
-                key = tuple(chosen)
-                level = level_tuples.get(key)
-                if level is None:
-                    level = level_tuples[key] = tuple(enumerate(chosen))
-                levels.append(level)
-                K, R, parts = K_next, R_next, None
-                continue
-            P = parts[len(winners)]
+    def branches(parts):
+        # A level's winner tuples, each with the path state set.  Partitions
+        # are disjoint, so the mask at the level's start decides which are forced.
+        nonlocal logp
+        choices, stochastic = [], []
+        for i, P in enumerate(parts):
             forced = _forced_winner(P, mask, labels)
             if forced is not None:
-                winners.append(forced)
+                choices.append((forced,))
                 continue
-            lse = lses.get(P)
-            if lse is None:
-                scores = [neg_theta[k] for k in P]
-                m = max(scores)
-                lse = lses[P] = m + math.log(math.fsum([math.exp(a - m) for a in scores]))
-            stack.append(
-                [0, lse, logp, K, R, parts, winners, len(winners), len(frames), len(events)]
-            )
-            break
-        # Take the next branch of the deepest event that has one left.
-        if not stack:
-            return
-        item = stack[-1]
-        branch, lse, logp, K, R, parts, winners, i, n_frames, n_events = item
-        for w, _P in events[n_events:]:
-            mask[w] = False
-        del events[n_events:], frames[n_frames:], levels[n_frames:], winners[i:]
-        P = parts[i]
-        if branch + 1 == len(P):
-            stack.pop()
-        else:
-            item[0] = branch + 1
-        w = P[branch]
-        mask[w] = True
-        event = (w, P)
-        events.append(shared_events.setdefault(event, event))
-        winners.append(w)
-        logp = logp + neg_theta[w] - lse
+            choices.append(P)
+            if P not in lses:
+                m = max([neg_theta[k] for k in P])
+                lses[P] = m + math.log(math.fsum([math.exp(neg_theta[k] - m) for k in P]))
+            stochastic.append((i, P, lses[P]))
+        start = logp
+        for winners in product(*choices):
+            lp = start
+            for i, P, lse in stochastic:
+                w = winners[i]
+                mask[w] = True
+                event = (w, P)
+                events.append(shared_events.setdefault(event, event))
+                lp = lp + neg_theta[w] - lse
+            logp = lp
+            level = level_tuples.get(winners)
+            if level is None:
+                level = level_tuples[winners] = tuple(enumerate(winners))
+            levels.append(level)
+            yield winners
+            levels.pop()
+            for i, _P, _lse in stochastic:
+                mask[winners[i]] = False
+                events.pop()
+
+    for walk in _walks(sdef, branches):
+        yield walk, tuple(levels), events, logp
 
 
 def enumerate_distribution(
@@ -200,6 +175,7 @@ def exact_gradient(
     search is walked again in step with its entries, raising
     InvalidTraceError where an entry's levels or the number of entries
     differ, and ``trace_score`` reads each leaf's walk instead of walking.
+    A non-finite loss raises InvalidArgumentError, as in the estimators.
     """
     if dist.key_labels != theta.keys:
         raise InvalidArgumentError("distribution keys do not match theta")
@@ -209,7 +185,7 @@ def exact_gradient(
             raise InvalidTraceError(
                 "the distribution is not the enumeration of the definition under theta"
             )
-        weight = entry.prob * float(loss(entry.structure))
+        weight = entry.prob * _loss_value(loss, entry.structure)
         if weight != 0.0:
             trace = _carrying(entry.trace.levels, leaf[0])
             grad += weight * trace_score(sdef, trace, theta).values

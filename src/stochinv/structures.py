@@ -55,8 +55,16 @@ _OK = ValidationResult(True)
 _label = partial(as_int, field="each label")  # reads a decoded value's labels
 
 
+def _json_list(doc, what: str) -> list:
+    """``doc`` if it is a JSON list; a string is never read as a sequence."""
+    if not isinstance(doc, list):
+        raise ConfigError(f"{what} must be a JSON list, got {doc!r}")
+    return doc
+
+
 def _edges_from_json(doc) -> frozenset:
-    return frozenset((_label(u), _label(v)) for u, v in doc)
+    edges = (_json_list(edge, "each edge") for edge in _json_list(doc, "the list of edges"))
+    return frozenset((_label(u), _label(v)) for u, v in edges)
 
 
 class _SetValued(StructureDefinition):
@@ -106,7 +114,7 @@ class TopK(_SetValued):
         return (child or frozenset()) | {winners[0]}
 
     def decode_value(self, doc):
-        return frozenset(map(_label, doc))
+        return frozenset(map(_label, _json_list(doc, "the list of labels")))
 
     def validate_value(self, value):
         if len(value) != self.k:
@@ -152,7 +160,7 @@ class Argsort(StructureDefinition):
         return (winners[0],) + (child or ())
 
     def decode_value(self, doc):
-        return tuple(map(_label, doc))
+        return tuple(map(_label, _json_list(doc, "the list of labels")))
 
     def validate_value(self, value):
         if len(value) != self.d:
@@ -267,7 +275,7 @@ class BinaryTree(StructureDefinition):
     def decode_value(self, doc):
         if doc is None:
             return None
-        key, left, right = doc
+        key, left, right = _json_list(doc, "each tree node")
         return TreeNode(_label(key), self.decode_value(left), self.decode_value(right))
 
     def validate_value(self, value):

@@ -654,12 +654,21 @@ class TestConfigHandling:
             ({"kind": "binary_tree", "n": 2}, None, [0, None, [1.5, None, None]]),
             ({"kind": "spanning_tree"}, K4_UNDIRECTED, [[0, 1], [1, 2], [2, 3.5]]),
             ({"kind": "arborescence"}, K3_DIRECTED, [[0, 1], [True, 2]]),
+            ({"kind": "top_k", "d": 3, "k": 2}, None, "01"),
+            ({"kind": "argsort", "d": 3}, None, "210"),
+            ({"kind": "matching", "n": 2}, None, ["00", "11"]),
+            ({"kind": "binary_tree", "n": 1}, None, "0"),
+            ({"kind": "spanning_tree"}, K4_UNDIRECTED, [[0, 1], [1, 2], "23"]),
+            ({"kind": "arborescence"}, K3_DIRECTED, ["01", "02"]),
         ],
-        ids=["top_k", "argsort", "matching", "binary_tree", "spanning_tree", "arborescence"],
+        ids=["top_k", "argsort", "matching", "binary_tree", "spanning_tree", "arborescence",
+             "top_k_string", "argsort_string", "matching_string", "binary_tree_string",
+             "spanning_tree_string", "arborescence_string"],
     )
     def test_target_label_not_an_integer_is_exit_2(self, tmp_path, capsys, command,
                                                     structure, graph, target):
-        # int() truncated these labels to a valid target, and the command ran.
+        # int() truncated these labels to a valid target, and a string was
+        # read as a sequence of labels; either way the command ran.
         if graph is not None:
             structure = {**structure, "graph": write_graph(tmp_path, graph)}
         cfg = write_config(

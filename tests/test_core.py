@@ -1,5 +1,6 @@
 """The recursion, trace probabilities, scores, and conditional sampling."""
 
+import gc
 import math
 
 import numpy as np
@@ -405,6 +406,25 @@ class TestRecordedWalk:
             e2, rec2 = cond_sample(sdef, rebuilt, theta, np.random.default_rng(i))
             assert np.array_equal(e1.values, e2.values) and rec1 == rec2
             assert run_struct(sdef, e2) == (x, t)
+
+    def test_walks_leave_no_cyclic_garbage(self):
+        # run_struct drops its walker suspended after the one leaf it takes.
+        for name, sdef in representative_instances():
+            theta = seeded_theta(sdef, 18)
+            rng = np.random.default_rng(18)
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(5):
+                    _x, carried = run_struct(sdef, sample_utilities(theta, rng))
+                    for trace in (carried, Trace(carried.levels)):
+                        trace_log_prob(sdef, trace, theta)
+                        trace_score(sdef, trace, theta)
+                        cond_sample(sdef, trace, theta, rng)
+                del carried, trace
+                assert gc.collect() == 0, name
+            finally:
+                gc.enable()
 
     @pytest.mark.parametrize(
         "other",

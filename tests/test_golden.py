@@ -48,6 +48,14 @@ CASES = {
          "theta": RANDOM_THETA, "seed": 7, "format": "csv"},
         [], [],
     ),
+    # Binary-tree levels hold the most partitions, so this pins the order
+    # in which enumeration branches over a level's events.
+    "enumerate_binary_tree.csv": (
+        "enumerate",
+        {"structure": {"kind": "binary_tree", "n": 5},
+         "theta": RANDOM_THETA, "seed": 11, "format": "csv"},
+        [], [],
+    ),
     "sample_top_k.jsonl": (
         "sample",
         {"structure": {"kind": "top_k", "d": 6, "k": 3},

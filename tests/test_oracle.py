@@ -24,6 +24,7 @@ from stochinv import (
     chi_square_fit,
     enumerate_distribution,
     exact_gradient,
+    grad_t_reinforce,
     hamming_distance,
     ks_exponential,
     run_struct,
@@ -263,6 +264,19 @@ class TestExactGradient:
                     expected += weight * trace_score(sdef, fresh, theta).values
             got = exact_gradient(dist, sdef, theta, loss).values
             assert np.array_equal(got, expected), name
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_loss_raises_as_the_estimators_do(self, bad):
+        # The product with a non-finite loss gave a gradient of +-inf or nan.
+        sdef = TopK(3, 1)
+        theta = seeded_theta(sdef, 5)
+        loss = lambda x: bad if 0 in x else 1.0  # noqa: E731
+        dist = enumerate_distribution(sdef, theta)
+        with pytest.raises(InvalidArgumentError, match="loss returned a non-finite") as exact:
+            exact_gradient(dist, sdef, theta, loss)
+        with pytest.raises(InvalidArgumentError) as sampled:
+            grad_t_reinforce(sdef, theta, loss, 64, np.random.default_rng(0))
+        assert str(exact.value) == str(sampled.value)
 
     def test_invalid_trace_after_a_valid_one_raises(self):
         sdef = Argsort(4)
