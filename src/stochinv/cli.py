@@ -54,10 +54,12 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        # Unreadable, not UTF-8, an integer past the digit limit, or nested
+        # deeper than the decoder recurses.
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config
@@ -114,7 +116,7 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read theta file {path}: {exc}") from exc
         if not (isinstance(doc, dict) and isinstance(doc.get("keys"), list)
                 and "theta" in doc):
@@ -151,7 +153,7 @@ def decode_target(fit: dict, sdef):
         raise ConfigError("fit needs a 'fit.target' structure")
     try:
         target = sdef.decode_value(fit["target"])
-    except (TypeError, ValueError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError, RecursionError) as exc:
         raise ConfigError(f"malformed fit.target: {exc}") from exc
     check = sdef.validate_value(target)
     if not check:

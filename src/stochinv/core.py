@@ -189,12 +189,11 @@ def run_struct(sdef: StructureDefinition, utilities):
 
 
 class _Walk(NamedTuple):
-    """A (K, R, parts, winners) frame per level, and the final (K, R)."""
+    """A (K, R, parts, winners) frame per level, and the final key set."""
 
     sdef: StructureDefinition
     frames: list
     K: frozenset
-    R: object
 
 
 def _carrying(levels: tuple, walk: _Walk) -> Trace:
@@ -214,7 +213,7 @@ def _walks(sdef: StructureDefinition, choose):
     K, R = sdef.initial_state()
     while True:
         if sdef.stop(K, R):
-            yield _Walk(sdef, frames, K, R)
+            yield _Walk(sdef, frames, K)
         else:
             parts = sdef.split(K, R)
             _check_partition(parts, K)
@@ -451,8 +450,7 @@ def cond_sample(sdef: StructureDefinition, trace: Trace, theta: ThetaVector, rng
         for keys in drops for k in sorted(keys) if not mask[k]
     ]
     record = CondBuildRecord(theta.keys, tuple(events), tuple(tail))
-    values = _accumulate(record, np.exp(-theta.theta), sdef.n_keys)
-    return Utilities(theta.keys, values), record
+    return replay_conditional(record, theta), record
 
 
 def cond_jacobian_vjp(record: CondBuildRecord, theta: ThetaVector, v) -> GradientVector:

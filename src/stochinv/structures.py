@@ -321,7 +321,7 @@ def parse_graph_file(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw_lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read graph file {path}: {exc}") from exc
     directed = None
     n_vertices = None
@@ -485,8 +485,14 @@ class Arborescence(_SetValued):
     its internal edges drop out, and the recursion resolves the smaller
     graph.  Winners that survive a contraction keep their utility at
     exactly 0, so they win again deterministically until the recursion
-    unwinds; expanding a cycle keeps all its edges but the one displaced
-    by the edge entering from outside.
+    unwinds.  A contraction that leaves no edge to enter the loop is
+    infeasible, and ``map`` says so.
+
+    Expansion reads only the child's heads.  The deepest level's winners
+    are the tree.  Above it, the child is an arborescence of the contracted
+    graph: one of its edges enters each super-node of this level, except
+    that a single edge enters the whole contracted loop.  So a super-node
+    keeps its own winner exactly when no child edge has its head in it.
 
     The auxiliary state is the tuple of super-nodes, each a frozenset of
     vertices, ordered by smallest vertex; the root's super-node stays
@@ -554,31 +560,30 @@ class Arborescence(_SetValued):
         return parts
 
     def _find_cycle(self, R, winners) -> Optional[list]:
-        """First winner-pointer cycle in canonical super-node order.
+        """First winner-pointer cycle in canonical super-node order, as a
+        list of indices into R.
 
-        Pointers go from each non-root super-node to the super-node holding
-        its winning edge's tail; the root has no pointer, so any cycle
-        avoids it.  Returns the cycle as a list of indices into R.
+        Each non-root super-node points to the super-node holding its
+        winning edge's tail; the root has no pointer, so no cycle passes
+        through it.  The pointers are walked from each start in turn, each
+        super-node marked with the start that reached it first: a walk that
+        returns to its own mark has closed a cycle.
         """
         slot = {v: i for i, S in enumerate(R) for v in S}
-        root_slot = slot[self.root]
+        nonroot = [i for i, S in enumerate(R) if self.root not in S]
         tail = self._tail
-        nonroot = (i for i in range(len(R)) if i != root_slot)
         pointer = {i: slot[tail[w]] for i, w in zip(nonroot, winners)}
-        state = {}
-        for start in pointer:
-            if state.get(start) == "done":
-                continue
-            path = []
+        mark = {}
+        for start in nonroot:
             node = start
-            while node in pointer and state.get(node) is None:
-                state[node] = "active"
-                path.append(node)
+            while node in pointer and node not in mark:
+                mark[node] = start
                 node = pointer[node]
-            if state.get(node) == "active":
-                return path[path.index(node):]
-            for n in path:
-                state[n] = "done"
+            if mark.get(node) == start:
+                cycle = [node]
+                while pointer[cycle[-1]] != node:
+                    cycle.append(pointer[cycle[-1]])
+                return cycle
         return None
 
     def map(self, K, R, winners):
@@ -590,6 +595,11 @@ class Arborescence(_SetValued):
         keep = frozenset([
             k for k in K if not (tail[k] in loop_vertices and head[k] in loop_vertices)
         ])
+        if not keep:
+            # The recursion would stop with the loop unjoined to the root.
+            raise InfeasibleGraphError(
+                f"no surviving edge enters the vertex group {sorted(loop_vertices)!r}"
+            )
         in_cycle = set(cycle)
         merged = [S for i, S in enumerate(R) if i not in in_cycle]
         merged.append(loop_vertices)
@@ -597,25 +607,12 @@ class Arborescence(_SetValued):
         return keep, tuple(merged)
 
     def combine(self, child, K, R, winners):
-        cycle = self._find_cycle(R, winners)
-        if cycle is None:
-            return frozenset(self.key_labels[w] for w in winners)
-        winner_of_slot = {}
-        ti = 0
-        for i, S in enumerate(R):
-            if self.root not in S:
-                winner_of_slot[i] = self.key_labels[winners[ti]]
-                ti += 1
-        child = child or frozenset()
-        loop_vertices = frozenset().union(*(R[i] for i in cycle))
-        entering = [e for e in child if e[1] in loop_vertices]
-        if len(entering) != 1:
-            raise InfeasibleGraphError(
-                "contracted cycle is not entered by exactly one edge"
-            )
-        displaced_slot = next(i for i in cycle if entering[0][1] in R[i])
-        kept = {winner_of_slot[i] for i in cycle if i != displaced_slot}
-        return child | kept
+        labels = self.key_labels
+        if child is None:
+            return frozenset(labels[w] for w in winners)
+        heads = {v for _u, v in child}
+        targets = (S for S in R if self.root not in S)
+        return child | {labels[w] for S, w in zip(targets, winners) if heads.isdisjoint(S)}
 
     def decode_value(self, doc):
         return _edges_from_json(doc)

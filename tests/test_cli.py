@@ -372,6 +372,57 @@ class TestConfigHandling:
         path.write_text("{not json")
         assert run_cli("enumerate", "--config", str(path)) == 2
 
+    @pytest.mark.parametrize("which", ["config", "theta", "graph"])
+    def test_non_utf8_input_file_is_exit_2(self, tmp_path, capsys, which):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        structure = {"kind": "top_k", "d": 3, "k": 1}
+        if which == "graph":
+            structure = {"kind": "spanning_tree", "graph": str(bad)}
+        theta = {"init": "file", "path": str(bad)} if which == "theta" else {}
+        cfg = bad if which == "config" else write_config(
+            tmp_path, structure=structure, theta=theta, seed=0
+        )
+        assert run_cli("enumerate", "--config", str(cfg)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and str(bad) in lines[0]
+
+    def test_integer_past_the_digit_limit_is_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"structure": {"kind": "top_k", "d": 3, "k": 1}, "seed": %s}'
+                       % ("9" * 5000))
+        assert run_cli("enumerate", "--config", str(cfg)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot read config {cfg}")
+
+    @pytest.mark.parametrize("which", ["config", "theta", "target"])
+    def test_deeply_nested_input_is_exit_2(self, tmp_path, capsys, which):
+        # Somewhere in this window of depths the JSON decoder, and for the
+        # target the recursive binary-tree decoder, runs out of stack,
+        # wherever the test's own stack stands.
+        theta_file, cfg = tmp_path / "theta.json", tmp_path / "config.json"
+        limit = sys.getrecursionlimit()
+        errors = []
+        for depth in range(limit - 200, limit + 10):
+            deep = "[" * depth + "]" * depth
+            theta, target = "{}", "[0, null, null]"
+            if which == "config":
+                theta = '{"value": %s}' % deep
+            elif which == "theta":
+                theta = json.dumps({"init": "file", "path": str(theta_file)})
+                theta_file.write_text('{"keys": %s, "theta": [0, 0, 0]}' % deep)
+            else:
+                target = "[0, " * depth + "null" + ", null]" * depth
+            cfg.write_text('{"structure": {"kind": "binary_tree", "n": 3}, "seed": 0,'
+                           ' "theta": %s, "fit": {"target": %s}}' % (theta, target))
+            assert run_cli("fit", "--config", str(cfg)) == 2, depth
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (depth, lines[:1])
+            errors.append(lines[0])
+        assert any("recursion" in e for e in errors)
+        if which == "target":
+            assert any("malformed fit.target" in e for e in errors)
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_config(
             tmp_path,

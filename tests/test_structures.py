@@ -7,6 +7,7 @@ definitions validate each other through an independent route.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -265,6 +266,35 @@ class TestArborescence:
     def test_missing_incoming_edge_raises(self):
         with pytest.raises(InfeasibleGraphError):
             Arborescence([0, 1, 2], [(0, 1)], 0)
+
+    def test_unenterable_cycle_is_infeasible_on_every_path(self):
+        # 1 and 2 each have an incoming edge, but only from each other: the
+        # contracted loop {1, 2} has no edge from the root's side.  Trace
+        # validation never folds the recursion, so it must fail in map.
+        from stochinv import Trace, trace_log_prob
+
+        sdef = Arborescence([0, 1, 2], [(1, 2), (2, 1)], 0)
+        theta = ThetaVector.constant(sdef.key_labels)
+        match = r"vertex group \[1, 2\]"
+        with pytest.raises(InfeasibleGraphError, match=match):
+            run_struct(sdef, [1.0, 2.0])
+        with pytest.raises(InfeasibleGraphError, match=match):
+            enumerate_distribution(sdef, theta)
+        with pytest.raises(InfeasibleGraphError, match=match):
+            trace_log_prob(sdef, Trace((((0, 1), (1, 0)),)), theta)
+
+    def test_unenterable_cycle_is_exit_2_naming_the_vertex_group(self, tmp_path, capsys):
+        from stochinv.cli import main
+
+        graph = tmp_path / "graph.txt"
+        graph.write_text("graph directed 3\nroot 0\n1 2\n2 1\n")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {"structure": {"kind": "arborescence", "graph": str(graph)}, "seed": 0}
+        ))
+        assert main(["enumerate", "--config", str(cfg)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: no surviving edge enters the vertex group [1, 2]"]
 
     def test_edges_into_root_are_ignored(self):
         sdef = Arborescence([0, 1], [(0, 1), (1, 0)], 0)
