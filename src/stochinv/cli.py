@@ -6,7 +6,10 @@ share: it loads the config, reads the shared fields (seed, out, format,
 -n), builds the structure, spawns the seed streams and builds theta
 (rejecting an unmasked |theta| above ``THETA_LIMIT``), then calls the
 command named in ``COMMANDS`` and writes the text it returns.
-Config sections are read through ``_object`` and paths through ``as_path``.
+Config sections are read through ``_object`` and paths through ``as_path``;
+a config value quoted in an error goes through ``bounded_repr``.
+``build_estimator_runner`` checks an estimator section and returns its
+``estimators`` function with the section's settings bound by keyword.
 Outputs are machine-readable (JSON or CSV with 17 significant digits) and
 byte-identical under a fixed seed.  Exit codes: 0 success, 2 config or
 input error, 1 internal invariant violation.
@@ -39,6 +42,7 @@ from .errors import (
     as_float,
     as_int,
     as_path,
+    bounded_repr,
 )
 from .perturb import ThetaVector, Utilities, sample_utilities, sample_utilities_matrix
 
@@ -68,7 +72,7 @@ def load_config(path: str) -> dict:
 def _object(value, field: str) -> dict:
     """``value`` as a config section, which must be a JSON object."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{field} must be an object, got {value!r}")
+        raise ConfigError(f"{field} must be an object, got {bounded_repr(value)}")
     return value
 
 
@@ -79,7 +83,7 @@ def build_structure(config: dict):
     kind = spec["kind"]
     cls = structures.KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ConfigError(f"unknown structure kind {kind!r}")
+        raise ConfigError(f"unknown structure kind {bounded_repr(kind)}")
     try:
         return cls.from_config(spec)
     except KeyError as exc:
@@ -126,14 +130,16 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
         # numpy would coerce booleans, strings and nulls; take only JSON's own types.
         values, mask = doc["theta"], doc.get("mask")
         if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
-            raise ConfigError(f"theta file {path}: theta must be a list of numbers, got {values!r}")
+            raise ConfigError(f"theta file {path}: theta must be a list of numbers, "
+                              f"got {bounded_repr(values)}")
         if mask is not None and not (isinstance(mask, list) and all(type(m) is bool for m in mask)):
-            raise ConfigError(f"theta file {path}: mask must be a list of booleans, got {mask!r}")
+            raise ConfigError(f"theta file {path}: mask must be a list of booleans, "
+                              f"got {bounded_repr(mask)}")
         try:
             return ThetaVector(sdef.key_labels, values, mask)
         except (OverflowError, InvalidParameterError) as exc:
             raise ConfigError(f"theta file {path}: {exc}") from exc
-    raise ConfigError(f"unknown theta init {init!r}")
+    raise ConfigError(f"unknown theta init {bounded_repr(init)}")
 
 
 def check_theta_limit(labels, values, mask, where: str = "") -> None:
@@ -175,21 +181,19 @@ def resolve_max_traces(config: dict) -> int:
     return cap
 
 
-def build_estimator_runner(spec: dict, field: str, n: int):
-    """Returns (name, fn) with fn(sdef, theta, loss, rng) -> report.
+def build_estimator_runner(spec: dict, field: str, n: int, sdef):
+    """The ``estimators`` function that ``spec`` names, its settings bound.
 
-    ``field`` names ``spec`` in the config, for errors; each call of ``fn``
-    spends ``n`` function evaluations.
+    Call it as ``runner(sdef, theta, loss, rng=rng)``; each call spends ``n``
+    function evaluations and keeps the per-sample rows.  ``field`` names
+    ``spec`` in the config, for errors.  A relax control variate is built
+    here, once, with one coefficient per key of ``sdef``.
     """
     kind = _object(spec, field).get("kind")
     if kind == "e_reinforce":
-        return kind, lambda sdef, theta, loss, rng: estimators.grad_e_reinforce(
-            sdef, theta, loss, n, rng, keep_per_sample=True
-        )
+        return functools.partial(estimators.grad_e_reinforce, n_samples=n, keep_per_sample=True)
     if kind == "t_reinforce":
-        return kind, lambda sdef, theta, loss, rng: estimators.grad_t_reinforce(
-            sdef, theta, loss, n, rng, keep_per_sample=True
-        )
+        return functools.partial(estimators.grad_t_reinforce, n_samples=n, keep_per_sample=True)
     if kind in ("t_reinforce_plus", "e_reinforce_plus"):
         k = as_int(spec.get("K", 4), f"{field}.K")
         if k < 2:
@@ -205,39 +209,21 @@ def build_estimator_runner(spec: dict, field: str, n: int):
                 "so whole leave-one-out batches cannot spend it"
             )
         space = "trace" if kind.startswith("t_") else "utility"
-
-        def run_loo(sdef, theta, loss, rng):
-            return estimators.grad_loo(
-                sdef, theta, loss, k, space, rng,
-                n_batches=n // k, keep_per_sample=True,
-            )
-
-        return kind, run_loo
+        return functools.partial(estimators.grad_loo, k_samples=k, space=space,
+                                 n_batches=n // k, keep_per_sample=True)
     if kind == "relax":
         cv_spec = _object(spec.get("control_variate", {}), f"{field}.control_variate")
         cv_kind = cv_spec.get("kind", "zero")
         if cv_kind == "zero":
-            cv_template = None
+            cv = estimators.zero_control_variate()
         elif cv_kind == "quadratic":
-            cv_template = as_float(
-                cv_spec.get("coeff", 0.1), f"{field}.control_variate.coeff"
-            )
+            coeff = as_float(cv_spec.get("coeff", 0.1), f"{field}.control_variate.coeff")
+            cv = estimators.quadratic_control_variate(np.full(sdef.n_keys, coeff))
         else:
-            raise ConfigError(f"unknown control variate kind {cv_kind!r}")
-
-        def run_relax(sdef, theta, loss, rng, coeff=cv_template):
-            if coeff is None:
-                cv = estimators.zero_control_variate()
-            else:
-                cv = estimators.quadratic_control_variate(
-                    np.full(sdef.n_keys, coeff)
-                )
-            return estimators.grad_relax(
-                sdef, theta, loss, cv, rng, n_samples=n, keep_per_sample=True
-            )
-
-        return kind, run_relax
-    raise ConfigError(f"unknown estimator kind {kind!r}")
+            raise ConfigError(f"unknown control variate kind {bounded_repr(cv_kind)}")
+        return functools.partial(estimators.grad_relax, control_variate=cv, n_samples=n,
+                                 keep_per_sample=True)
+    raise ConfigError(f"unknown estimator kind {bounded_repr(kind)}")
 
 
 # --------------------------------------------------------------------------
@@ -366,19 +352,19 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         raise ConfigError("variance needs an 'estimators' list in the config")
     budget = as_int(config.get("n_samples", 1000), "n_samples")
     runners = [
-        build_estimator_runner(spec, f"estimators[{i}]", budget)
+        build_estimator_runner(spec, f"estimators[{i}]", budget, sdef)
         for i, spec in enumerate(specs)
     ]
     rows = []
-    for name, runner in runners:
-        report = runner(sdef, theta, loss, np.random.default_rng(streams[0]))
+    for spec, runner in zip(specs, runners):
+        report = runner(sdef, theta, loss, rng=np.random.default_rng(streams[0]))
         per = report.per_sample
         n_rows = per.shape[0]
         mean = per.mean(axis=0)
         var = per.var(axis=0, ddof=1) if n_rows > 1 else np.zeros(per.shape[1])
         stderr = np.sqrt(var / n_rows)
         for i, label in enumerate(sdef.key_labels):
-            rows.append((name, _label_key(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
+            rows.append((spec["kind"], _label_key(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
     return _table(("estimator", "coordinate", "mean", "variance", "stderr"), rows, fmt)
 
 
@@ -443,7 +429,7 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     # The budget per iteration defaults to K, one leave-one-out batch.
     budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
     per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
-    _name, runner = build_estimator_runner(est_spec, "estimator", per_iter_budget)
+    runner = build_estimator_runner(est_spec, "estimator", per_iter_budget, sdef)
 
     # Exact loss tracking when the instance is enumerable, Monte Carlo
     # tracking (with its own sample stream) otherwise.
@@ -477,7 +463,7 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
             rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(0.0)))
             break
         # spawn keys children by a running index: this is spawn(iterations)[it].
-        report = runner(sdef, current, loss, np.random.default_rng(work_ss.spawn(1)[0]))
+        report = runner(sdef, current, loss, rng=np.random.default_rng(work_ss.spawn(1)[0]))
         grad = report.gradient.values
         rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(float(np.linalg.norm(grad)))))
         values = optimizer.update(values, grad)
@@ -575,7 +561,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"-n must be nonnegative, got {n}")
         fmt = args.format or config.get("format") or command.default_format
         if fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+            raise ConfigError(f"unknown output format {bounded_repr(fmt)}")
         sdef = build_structure(config)
         seed = as_int(config.get("seed", 0), "seed")
         if seed < 0:

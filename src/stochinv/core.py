@@ -464,10 +464,6 @@ def cond_jacobian_vjp(record: CondBuildRecord, theta: ThetaVector, v) -> Gradien
     """
     if record.key_labels != theta.keys:
         raise InvalidArgumentError("record keys do not match theta")
-    if hasattr(v, "keys") and hasattr(v, "values"):
-        if tuple(v.keys) != theta.keys:
-            raise InvalidArgumentError("v keys do not match theta")
-        v = v.values
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (len(theta.keys),):
         raise InvalidArgumentError("v has the wrong length")

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared by all stochinv modules, and config field parsers."""
+"""Exception hierarchy shared by all stochinv modules, config field parsers,
+and the bounded repr their messages quote values with."""
 
 import math
+import reprlib
 from numbers import Integral
 
 
@@ -53,6 +55,21 @@ class ConfigError(StochinvError):
     """Bad config file, graph file, or command invocation."""
 
 
+VALUE_REPR_CHARS = 80  # the most of a config value that an error message shows
+
+# Every limit is the character cap, so a value whose repr fits the cap is
+# shown in full (a JSON object with its keys sorted).
+_VALUE_REPR = reprlib.Repr()
+_VALUE_REPR.maxlevel = _VALUE_REPR.maxdict = _VALUE_REPR.maxlist = VALUE_REPR_CHARS
+_VALUE_REPR.maxstring = _VALUE_REPR.maxlong = _VALUE_REPR.maxother = VALUE_REPR_CHARS
+
+
+def bounded_repr(value) -> str:
+    """``repr(value)`` cut to at most ``VALUE_REPR_CHARS`` characters."""
+    text = _VALUE_REPR.repr(value)
+    return text if len(text) <= VALUE_REPR_CHARS else text[:VALUE_REPR_CHARS - 3] + "..."
+
+
 def as_int(value, field: str) -> int:
     """``value`` as an int; integral floats and integer strings are accepted.
 
@@ -65,7 +82,7 @@ def as_int(value, field: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise ConfigError(f"{field} must be an integer, got {value!r}")
+    raise ConfigError(f"{field} must be an integer, got {bounded_repr(value)}")
 
 
 def as_float(value, field: str) -> float:
@@ -81,7 +98,7 @@ def as_float(value, field: str) -> float:
         else:
             if math.isfinite(number):
                 return number
-    raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    raise ConfigError(f"{field} must be a finite number, got {bounded_repr(value)}")
 
 
 def as_path(value, field: str) -> str:
@@ -91,4 +108,4 @@ def as_path(value, field: str) -> str:
     """
     if isinstance(value, str):
         return value
-    raise ConfigError(f"{field} must be a file path, got {value!r}")
+    raise ConfigError(f"{field} must be a file path, got {bounded_repr(value)}")

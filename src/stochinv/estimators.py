@@ -57,7 +57,6 @@ class EstimatorReport:
     """
 
     gradient: GradientVector
-    samples_used: int
     per_sample: Optional[np.ndarray] = None
 
 
@@ -143,12 +142,11 @@ def _loss_value(loss: Callable, structure) -> float:
     return value
 
 
-def _report(theta, contributions, samples_used, keep) -> EstimatorReport:
+def _report(theta, contributions, keep) -> EstimatorReport:
     per = np.asarray(contributions)
     mean = per.mean(axis=0)
     return EstimatorReport(
         gradient=GradientVector(theta.keys, mean),
-        samples_used=samples_used,
         per_sample=per if keep else None,
     )
 
@@ -178,7 +176,7 @@ def grad_e_reinforce(
         value * utility_score(theta, e)
         for _child, e, _trace, value in _draws(sdef, theta, loss, n_samples, rng)
     ]
-    return _report(theta, contributions, n_samples, keep_per_sample)
+    return _report(theta, contributions, keep_per_sample)
 
 
 def grad_t_reinforce(
@@ -194,7 +192,7 @@ def grad_t_reinforce(
         value * trace_score(sdef, trace, theta).values
         for _child, _e, trace, value in _draws(sdef, theta, loss, n_samples, rng)
     ]
-    return _report(theta, contributions, n_samples, keep_per_sample)
+    return _report(theta, contributions, keep_per_sample)
 
 
 def grad_loo(
@@ -234,7 +232,7 @@ def grad_loo(
                 scores[j] = utility_score(theta, e)
         centered = losses - losses.mean()
         batch_estimates.append(centered @ scores / (k_samples - 1))
-    return _report(theta, batch_estimates, n_batches * k_samples, keep_per_sample)
+    return _report(theta, batch_estimates, keep_per_sample)
 
 
 def grad_relax(
@@ -275,4 +273,4 @@ def grad_relax(
             - correction.values
             + c_direct_grad
         )
-    return _report(theta, contributions, n_samples, keep_per_sample)
+    return _report(theta, contributions, keep_per_sample)

@@ -204,7 +204,7 @@ class TraceTable:
     """
 
     def __init__(self, dist: EnumeratedDistribution):
-        self.n_keys = len(dist.key_labels)
+        n_keys = len(dist.key_labels)
         self.n_traces = len(dist.entries)
         rows = {}
         winners = []
@@ -218,7 +218,7 @@ class TraceTable:
         self.winners = np.asarray(winners, dtype=np.intp)
         self.part_of = np.asarray(part_of, dtype=np.intp)
         self.trace_ids = np.asarray(trace_ids, dtype=np.intp)
-        self.members = np.zeros((len(rows), self.n_keys), dtype=bool)
+        self.members = np.zeros((len(rows), n_keys), dtype=bool)
         for row, partition in enumerate(rows):
             self.members[row, list(partition)] = True
 

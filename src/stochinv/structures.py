@@ -31,6 +31,7 @@ from .errors import (
     InvalidParameterError,
     as_int,
     as_path,
+    bounded_repr,
 )
 
 TreeNode = namedtuple("TreeNode", ["key", "left", "right"])
@@ -58,7 +59,7 @@ _label = partial(as_int, field="each label")  # reads a decoded value's labels
 def _json_list(doc, what: str) -> list:
     """``doc`` if it is a JSON list; a string is never read as a sequence."""
     if not isinstance(doc, list):
-        raise ConfigError(f"{what} must be a JSON list, got {doc!r}")
+        raise ConfigError(f"{what} must be a JSON list, got {bounded_repr(doc)}")
     return doc
 
 

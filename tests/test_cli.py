@@ -47,6 +47,61 @@ K3_DIRECTED = "graph directed 3\nroot 0\n" + "\n".join(
 ) + "\n"
 
 
+LONG_TEXT = "x" * 100_000
+LONG_LIST = list(range(20_000))  # 128,890 characters as a repr
+
+# "VALUE" in a case's fields or theta document stands for the bad value:
+# the long one given last, or its first two characters or items.
+LONG_VALUE_CASES = [
+    ({"seed": "VALUE"}, None, "seed", LONG_TEXT),
+    ({"max_traces": "VALUE"}, None, "max_traces", LONG_TEXT),
+    ({"out": "VALUE"}, None, "out", LONG_LIST),
+    ({"format": "VALUE"}, None, "output format", LONG_TEXT),
+    ({"structure": {"kind": "VALUE"}}, None, "structure kind", LONG_TEXT),
+    ({"structure": {"kind": "top_k", "d": "VALUE", "k": 1}}, None, "structure.d",
+     LONG_TEXT),
+    ({"structure": {"kind": "spanning_tree", "graph": "VALUE"}}, None,
+     "structure.graph", LONG_LIST),
+    ({"theta": "VALUE"}, None, "theta", LONG_TEXT),
+    ({"theta": {"init": "VALUE"}}, None, "theta init", LONG_TEXT),
+    ({"theta": {"value": "VALUE"}}, None, "theta.value", LONG_LIST),
+    ({"theta": {"init": "random", "low": "VALUE"}}, None, "theta.low", LONG_TEXT),
+    ({"theta": {"init": "file", "path": "VALUE"}}, None, "theta.path", LONG_LIST),
+    ({"theta": {"init": "file", "path": "theta.json"}},
+     {"keys": [0, 1, 2], "theta": "VALUE"}, "theta must be a list", LONG_TEXT),
+    ({"theta": {"init": "file", "path": "theta.json"}},
+     {"keys": [0, 1, 2], "theta": [0, 0, 0], "mask": "VALUE"},
+     "mask must be a list", LONG_LIST),
+    ({"fit": "VALUE"}, None, "fit", LONG_TEXT),
+    ({"fit": {"target": "VALUE"}}, None, "fit.target", LONG_TEXT),
+    ({"fit": {"target": [0], "track_samples": "VALUE"}}, None, "fit.track_samples",
+     LONG_TEXT),
+    ({"fit": {"target": [0], "theta_out": "VALUE"}}, None, "fit.theta_out",
+     LONG_LIST),
+    ({"optimizer": "VALUE"}, None, "optimizer", LONG_TEXT),
+    ({"optimizer": {"step_size": "VALUE"}}, None, "optimizer.step_size", LONG_TEXT),
+    ({"estimator": "VALUE"}, None, "estimator", LONG_TEXT),
+    ({"estimator": {"kind": "VALUE"}}, None, "estimator kind", LONG_TEXT),
+    ({"estimator": {"kind": "t_reinforce_plus", "K": "VALUE"}}, None, "estimator.K",
+     LONG_TEXT),
+    ({"estimator": {"kind": "relax", "control_variate": {"kind": "VALUE"}}}, None,
+     "control variate kind", LONG_TEXT),
+    ({"estimator": {"kind": "relax",
+                    "control_variate": {"kind": "quadratic", "coeff": "VALUE"}}},
+     None, "estimator.control_variate.coeff", LONG_TEXT),
+]
+
+
+def _put_value(doc, value):
+    """``doc`` with each "VALUE" string in it, at any depth of objects,
+    replaced by ``value``."""
+    if doc == "VALUE":
+        return value
+    if isinstance(doc, dict):
+        return {key: _put_value(item, value) for key, item in doc.items()}
+    return doc
+
+
 class TestGraphFile:
     def test_round_trip_undirected(self, tmp_path):
         path = write_graph(tmp_path, K4_UNDIRECTED)
@@ -276,14 +331,14 @@ class TestFitCommand:
         seen = []
         build = cli.build_estimator_runner
 
-        def recording(spec, field, n):
-            name, run = build(spec, field, n)
+        def recording(spec, field, n, sdef):
+            run = build(spec, field, n, sdef)
 
             def run_and_record(sdef, theta, loss, rng):
                 seen.append(rng.bit_generator.seed_seq)
-                return run(sdef, theta, loss, rng)
+                return run(sdef, theta, loss, rng=rng)
 
-            return name, run_and_record
+            return run_and_record
 
         monkeypatch.setattr(cli, "build_estimator_runner", recording)
         cfg = write_config(
@@ -878,6 +933,33 @@ class TestConfigHandling:
         assert len(lines) == 1 and lines[0].startswith("error:")
         name = re.escape(name.replace("TMP", str(tmp_path)))
         assert re.search(rf"(?<!\w){name}(?!\w)", lines[0])
+
+    @pytest.mark.parametrize("fields, theta_doc, name, long", LONG_VALUE_CASES,
+                             ids=[case[2].replace(" ", "_") for case in LONG_VALUE_CASES])
+    def test_long_config_value_is_cut_in_its_error(self, tmp_path, monkeypatch, capsys,
+                                                   fields, theta_doc, name, long):
+        monkeypatch.chdir(tmp_path)
+        short = long[:2]
+
+        def error_line(value):
+            config = {
+                "structure": {"kind": "top_k", "d": 3, "k": 1},
+                "optimizer": {"iterations": 1},
+                "fit": {"target": [0]},
+                "seed": 0,
+                **_put_value(fields, value),
+            }
+            Path("config.json").write_text(json.dumps(config))
+            Path("theta.json").write_text(json.dumps(_put_value(theta_doc, value)))
+            assert run_cli("fit", "--config", "config.json") == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert name in lines[0]
+            return lines[0]
+
+        assert len(error_line(long)) <= 200
+        # A short value is shown whole, as repr shows it.
+        assert error_line(short).endswith(f" {short!r}")
 
     @pytest.mark.parametrize("command", ["enumerate", "sample", "condcheck"])
     def test_sections_a_command_never_reads_are_ignored(self, tmp_path, command):

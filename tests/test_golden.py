@@ -104,6 +104,31 @@ CASES = {
          ]},
         [], [],
     ),
+    # Every estimator kind the CLI builds, each from the same work stream.
+    "variance_every_estimator.csv": (
+        "variance",
+        {"structure": {"kind": "matching", "n": 4},
+         "theta": RANDOM_THETA, "seed": 13, "n_samples": 16,
+         "estimators": [
+             {"kind": "e_reinforce"},
+             {"kind": "t_reinforce"},
+             {"kind": "e_reinforce_plus", "K": 4},
+             {"kind": "t_reinforce_plus", "K": 4},
+             {"kind": "relax", "control_variate": {"kind": "zero"}},
+             {"kind": "relax", "control_variate": {"kind": "quadratic", "coeff": 0.1}},
+         ]},
+        [], [],
+    ),
+    "fit_relax_spanning_tree.csv": (
+        "fit",
+        {"structure": {"kind": "spanning_tree", "graph": "K4"},
+         "theta": RANDOM_THETA, "seed": 14,
+         "estimator": {"kind": "relax", "n_samples": 4,
+                       "control_variate": {"kind": "quadratic", "coeff": 0.1}},
+         "optimizer": {"step_size": 0.05, "iterations": 5},
+         "fit": {"target": [[0, 1], [1, 2], [2, 3]]}},
+        [], [".theta.json"],
+    ),
     "fit_spanning_tree.csv": (
         "fit",
         {"structure": {"kind": "spanning_tree", "graph": "K4"},
