@@ -6,15 +6,19 @@ share: it loads the config, reads the shared fields (seed, out, format,
 -n), builds the structure, spawns the seed streams and builds theta
 (rejecting an unmasked |theta| above ``THETA_LIMIT``), then calls the
 command named in ``COMMANDS`` and writes the text it returns.
-Config sections are read through ``_object`` and paths through ``as_path``;
-a config value quoted in an error goes through ``bounded_repr``.
+Every input is checked before a command does any work, output paths
+included: ``out`` in ``main``, and ``fit.theta_out`` or the theta file
+next to ``out`` in ``cmd_fit``, must name a file in an existing
+directory (``as_output_path``).
+Config sections are read through ``_object``, paths through ``as_path``
+and JSON files through ``_read_json``; a config value quoted in an error
+goes through ``bounded_repr``.  ``max_traces`` is the enumeration cap.
 ``build_estimator_runner`` checks an estimator section and returns its
-``estimators`` function with the section's settings bound by keyword.
+``estimators`` function with the section's settings bound by keyword;
+``hamming_loss`` is the loss of ``variance`` and ``fit``.
 Outputs are machine-readable (JSON or CSV with 17 significant digits) and
 byte-identical under a fixed seed.  Exit codes: 0 success, 2 config or
 input error, 1 internal invariant violation.
-The environment variable STOCHINV_MAX_TRACES overrides the enumeration
-cap.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 
@@ -41,12 +44,12 @@ from .errors import (
     StochinvError,
     as_float,
     as_int,
+    as_output_path,
     as_path,
     bounded_repr,
 )
 from .perturb import ThetaVector, Utilities, sample_utilities, sample_utilities_matrix
 
-MAX_TRACES_ENV = "STOCHINV_MAX_TRACES"
 THETA_LIMIT = 700.0  # exp(±theta) and exp(theta) * any unit draw stay normal
 
 
@@ -54,16 +57,21 @@ THETA_LIMIT = 700.0  # exp(±theta) and exp(theta) * any unit draw stay normal
 # input parsing
 # --------------------------------------------------------------------------
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON document in the file ``path``, which errors call ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError, RecursionError) as exc:
         # Unreadable, not UTF-8, an integer past the digit limit, or nested
         # deeper than the decoder recurses.
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    config = _read_json(path, "config")
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return config
@@ -88,8 +96,6 @@ def build_structure(config: dict):
         return cls.from_config(spec)
     except KeyError as exc:
         raise ConfigError(f"structure kind {kind!r} is missing field {exc}") from exc
-    except (InvalidParameterError, InfeasibleGraphError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def theta_to_json(theta: ThetaVector) -> dict:
@@ -117,11 +123,7 @@ def build_theta(config: dict, sdef, rng) -> ThetaVector:
         return ThetaVector(sdef.key_labels, values)
     if init == "file":
         path = as_path(spec.get("path"), "theta.path")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read theta file {path}: {exc}") from exc
+        doc = _read_json(path, "theta file")
         if not (isinstance(doc, dict) and isinstance(doc.get("keys"), list)
                 and "theta" in doc):
             raise ConfigError(f"theta file {path} must be an object with 'keys' and 'theta'")
@@ -153,31 +155,31 @@ def check_theta_limit(labels, values, mask, where: str = "") -> None:
         )
 
 
-def decode_target(fit: dict, sdef):
-    """The structure the ``fit`` section names in ``fit.target``."""
-    if "target" not in fit:
+def hamming_loss(sdef, fit):
+    """The loss of ``variance`` and ``fit``: Hamming distance to the
+    structure ``fit.target`` of the ``fit`` section, or, with ``fit`` None,
+    to the structure of the all-smallest-keys run."""
+    if fit is None:
+        target, _ = run_struct(sdef, np.arange(sdef.n_keys, dtype=float))
+    elif "target" not in fit:
         raise ConfigError("fit needs a 'fit.target' structure")
-    try:
-        target = sdef.decode_value(fit["target"])
-    except (TypeError, ValueError, ConfigError, RecursionError) as exc:
-        raise ConfigError(f"malformed fit.target: {exc}") from exc
-    check = sdef.validate_value(target)
-    if not check:
-        raise ConfigError(f"fit.target is not a valid structure: {check.reason}")
-    return target
+    else:
+        try:
+            target = sdef.decode_value(fit["target"])
+        except (TypeError, ValueError, ConfigError, RecursionError) as exc:
+            raise ConfigError(f"malformed fit.target: {exc}") from exc
+        check = sdef.validate_value(target)
+        if not check:
+            raise ConfigError(f"fit.target is not a valid structure: {check.reason}")
+    return lambda x: float(structures.hamming_distance(x, target))
 
 
 def resolve_max_traces(config: dict) -> int:
-    env = os.environ.get(MAX_TRACES_ENV)
-    if env is not None:
-        value, field = env, MAX_TRACES_ENV
-    elif config.get("max_traces") is not None:
-        value, field = config["max_traces"], "max_traces"
-    else:
+    if config.get("max_traces") is None:
         return oracle.DEFAULT_MAX_TRACES
-    cap = as_int(value, field)
+    cap = as_int(config["max_traces"], "max_traces")
     if cap < 0:
-        raise ConfigError(f"{field} must be nonnegative, got {cap}")
+        raise ConfigError(f"max_traces must be nonnegative, got {cap}")
     return cap
 
 
@@ -342,11 +344,7 @@ def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
 
 
 def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
-    if "fit" in config:
-        target = decode_target(_object(config["fit"], "fit"), sdef)
-        loss = lambda x: structures.hamming_distance(x, target)  # noqa: E731
-    else:
-        loss = _default_loss(sdef)
+    fit = _object(config["fit"], "fit") if "fit" in config else None
     specs = config.get("estimators")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
@@ -355,6 +353,7 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         build_estimator_runner(spec, f"estimators[{i}]", budget, sdef)
         for i, spec in enumerate(specs)
     ]
+    loss = hamming_loss(sdef, fit)
     rows = []
     for spec, runner in zip(specs, runners):
         report = runner(sdef, theta, loss, rng=np.random.default_rng(streams[0]))
@@ -366,12 +365,6 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         for i, label in enumerate(sdef.key_labels):
             rows.append((spec["kind"], _label_key(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
     return _table(("estimator", "coordinate", "mean", "variance", "stderr"), rows, fmt)
-
-
-def _default_loss(sdef):
-    """Hamming distance to the structure of the all-smallest-keys run."""
-    baseline, _ = run_struct(sdef, np.arange(sdef.n_keys, dtype=float))
-    return lambda x: structures.hamming_distance(x, baseline)
 
 
 class _Adam:
@@ -405,16 +398,15 @@ class _Adam:
 def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     work_ss, track_ss = streams
     fit = _object(config.get("fit", {}), "fit")
-    target = decode_target(fit, sdef)
-    loss = lambda x: float(structures.hamming_distance(x, target))  # noqa: E731
+    loss = hamming_loss(sdef, fit)
     track_samples = as_int(fit.get("track_samples", 32), "fit.track_samples")
     if track_samples < 2:
         raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
     # The final theta goes to fit.theta_out, else next to the output file.
     if fit.get("theta_out") is not None:
-        theta_out = (as_path(fit["theta_out"], "fit.theta_out"), "fit.theta_out")
+        theta_out = (as_output_path(fit["theta_out"], "fit.theta_out"), "fit.theta_out")
     elif config.get("out") is not None:
-        theta_out = (config["out"] + ".theta.json", "out")
+        theta_out = (as_output_path(config["out"] + ".theta.json", "out"), "out")
     else:
         theta_out = None
 
@@ -430,14 +422,13 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
     per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
     runner = build_estimator_runner(est_spec, "estimator", per_iter_budget, sdef)
+    max_traces = resolve_max_traces(config)
 
     # Exact loss tracking when the instance is enumerable, Monte Carlo
     # tracking (with its own sample stream) otherwise.
     table = None
     try:
-        dist = oracle.enumerate_distribution(
-            sdef, theta, resolve_max_traces(config)
-        )
+        dist = oracle.enumerate_distribution(sdef, theta, max_traces)
         table = oracle.TraceTable(dist)
         per_trace_losses = np.array([loss(e.structure) for e in dist.entries])
     except InstanceTooLargeError:
@@ -555,7 +546,7 @@ def main(argv=None) -> int:
             config["out"] = args.out
         out = config.get("out")
         if out is not None:
-            out = as_path(out, "out")
+            out = as_output_path(out, "out")
         n = args.num if command.takes_n else None
         if n is not None and n < 0:
             raise ConfigError(f"-n must be nonnegative, got {n}")

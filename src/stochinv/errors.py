@@ -2,6 +2,7 @@
 and the bounded repr their messages quote values with."""
 
 import math
+import os
 import reprlib
 from numbers import Integral
 
@@ -109,3 +110,13 @@ def as_path(value, field: str) -> str:
     if isinstance(value, str):
         return value
     raise ConfigError(f"{field} must be a file path, got {bounded_repr(value)}")
+
+
+def as_output_path(value, field: str) -> str:
+    """``value`` as a path to write: a string naming a file, not a directory,
+    in a directory that exists.  Commands check it before any work."""
+    path = as_path(value, field)
+    if not path or os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {field} {bounded_repr(path)}: "
+                          "not a file in an existing directory")
+    return path

@@ -14,11 +14,13 @@ unbiased.  They differ in which random variable carries the score:
   trace, correcting the bias through the frozen-noise Jacobian of the
   conditional build.
 
-Per-sample randomness comes from spawned child streams, so a sample's draw
-depends only on (root seed, sample index): estimators given the same root
-rng see identical utility samples, and results do not depend on how the
-work would be scheduled.  The mean is reduced in a fixed deterministic
-order.
+Per-sample randomness comes from child streams spawned from ``rng``, so a
+sample's draw depends only on the seed sequence and the spawn index, not
+on how the work would be scheduled.  Estimators given the same int seed
+see identical utility samples; a shared Generator or SeedSequence hands
+each call the next children, so consecutive calls draw disjoint samples
+(the rows of the CLI's ``variance`` do).  The mean is reduced in a fixed
+deterministic order.
 """
 
 from __future__ import annotations
@@ -66,12 +68,14 @@ class ControlVariate:
     ``value_and_grad(utilities)`` must return (c(e), dc/de) with the
     gradient aligned to the utility keys.  ``self_test`` compares the
     gradient against central finite differences within ``SELF_TEST_TOLERANCE``;
-    the conditional-reparameterization estimator runs it before trusting
-    the gradient.
+    the conditional-reparameterization estimator runs it the first time it
+    uses a control variate and sets ``self_tested`` once it passes, so each
+    object is checked once however many calls use it.
     """
 
     def __init__(self, value_and_grad: Callable):
         self.value_and_grad = value_and_grad
+        self.self_tested = False
 
     def __call__(self, utilities: Utilities):
         value, grad = self.value_and_grad(utilities)
@@ -255,14 +259,17 @@ def grad_relax(
     sample map (e_k per coordinate) and the middle one through the
     vector-Jacobian product of the conditional build record.  With c = 0
     this is exactly the trace-score estimator, sample for sample.  The
-    control variate's gradient is checked on the first sample.
+    control variate's gradient is checked on the first sample of the first
+    call that uses it; one that fails is checked, and raises, on every call.
     """
     contributions = []
     for child, e, trace, loss_value in _draws(sdef, theta, loss, n_samples, rng):
-        if not contributions and not control_variate.self_test(e):
-            raise InvalidControlVariateError(
-                "control variate gradient disagrees with finite differences"
-            )
+        if not (contributions or control_variate.self_tested):
+            if not control_variate.self_test(e):
+                raise InvalidControlVariateError(
+                    "control variate gradient disagrees with finite differences"
+                )
+            control_variate.self_tested = True
         e_cond, record = cond_sample(sdef, trace, theta, child)
         c_cond, dc_cond = control_variate(e_cond)
         c_direct_grad = control_variate(e)[1] * e.values

@@ -316,8 +316,10 @@ def parse_graph_file(path: str):
 
     Header ``graph <directed|undirected> <num_vertices>``, one ``u v`` edge
     per line with 0-based ids, optional ``root r`` line for directed
-    graphs.  Blank lines and ``#`` comments are ignored.  Returns
-    (directed, n_vertices, edges, root).
+    graphs.  Blank lines and ``#`` comments are ignored.  A file with fewer
+    than ``num_vertices - 1`` edges, which no spanning tree or arborescence
+    can use, is rejected before any work per vertex.  Returns (directed,
+    n_vertices, edges, root).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -360,7 +362,7 @@ def parse_graph_file(path: str):
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: root is not an integer")
             if not 0 <= root < n_vertices:
-                raise ConfigError(f"{path}:{lineno}: root {root} out of range")
+                raise ConfigError(f"{path}:{lineno}: root {bounded_repr(root)} out of range")
             continue
         if len(fields) != 2:
             raise ConfigError(f"{path}:{lineno}: expected 'u v'")
@@ -370,14 +372,17 @@ def parse_graph_file(path: str):
             raise ConfigError(f"{path}:{lineno}: edge endpoints are not integers")
         for x in (u, v):
             if not 0 <= x < n_vertices:
-                raise ConfigError(f"{path}:{lineno}: vertex id {x} out of range")
+                raise ConfigError(f"{path}:{lineno}: vertex id {bounded_repr(x)} out of range")
         key = (u, v) if directed else (min(u, v), max(u, v))
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate edge {u} {v}")
+            raise ConfigError(f"{path}:{lineno}: duplicate edge {bounded_repr((u, v))}")
         seen.add(key)
         edges.append((u, v))
     if directed is None:
         raise ConfigError(f"{path}: empty graph file")
+    if len(edges) < n_vertices - 1:
+        raise ConfigError(f"{path}: {len(edges)} edges cannot connect "
+                          f"{bounded_repr(n_vertices)} vertices")
     return directed, n_vertices, edges, root
 
 

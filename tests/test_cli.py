@@ -14,12 +14,21 @@ import numpy as np
 import pytest
 
 import stochinv
-from stochinv import cli
+from stochinv import cli, estimators, oracle
 from stochinv.cli import _build_parser, main
 from stochinv.structures import parse_graph_file
 
 
 COMMAND_NAMES = ["enumerate", "sample", "variance", "fit", "condcheck"]
+
+# The first library call that does each command's work, for the given test configs.
+FIRST_WORK = {
+    "enumerate": (oracle, "enumerate_distribution"),
+    "sample": (cli, "sample_utilities_matrix"),
+    "variance": (estimators, "grad_t_reinforce"),
+    "fit": (oracle, "enumerate_distribution"),
+    "condcheck": (cli, "sample_utilities"),
+}
 
 
 def run_cli(*argv):
@@ -132,6 +141,44 @@ class TestGraphFile:
         assert f":{fragment}:" in str(err.value)
 
 
+    @pytest.mark.parametrize("kind, header", [("spanning_tree", "graph undirected"),
+                                              ("arborescence", "graph directed")])
+    def test_too_few_edges_is_exit_2_before_any_vertex_work(self, tmp_path, capsys,
+                                                            kind, header):
+        # Three million vertices and one edge took 1.7 s and 510 MB of
+        # per-vertex tables before the graph was found disconnected.
+        graph = write_graph(tmp_path, f"{header} 3000000\n0 1\n")
+        cfg = write_config(tmp_path, structure={"kind": kind, "graph": graph, "root": 0},
+                           seed=0)
+        assert run_cli("enumerate", "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {graph}: 1 edges cannot connect 3000000 vertices"]
+
+    BIG = "9" * 4000
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("spanning_tree", f"graph undirected {BIG}\n0 1\n"),
+            ("spanning_tree", f"graph undirected 3\n0 {BIG}\n"),
+            ("arborescence", f"graph directed 3\nroot {BIG}\n"),
+            ("spanning_tree", f"graph undirected 1{BIG}\n{BIG} 1\n1 {BIG}\n"),
+        ],
+        ids=["vertex_count", "edge_endpoint", "root", "duplicate_edge"],
+    )
+    def test_long_number_is_cut_in_its_error(self, tmp_path, monkeypatch, capsys,
+                                             kind, text):
+        # The number went into the message whole: a 4000-digit endpoint
+        # gave a stderr line of about 4040 characters.
+        monkeypatch.chdir(tmp_path)
+        Path("graph.txt").write_text(text)
+        cfg = write_config(tmp_path, structure={"kind": kind, "graph": "graph.txt"}, seed=0)
+        assert run_cli("enumerate", "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: graph.txt:")
+        assert len(lines[0]) <= 200
+
+
 class TestEnumerateCommand:
     def test_top_k_marginals(self, tmp_path, capsys):
         cfg = write_config(
@@ -164,11 +211,10 @@ class TestEnumerateCommand:
         assert run_cli("enumerate", "--config", cfg) == 2
         assert ":2:" in capsys.readouterr().err
 
-    def test_cap_exceeded_is_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_cap_exceeded_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(
-            tmp_path, structure={"kind": "argsort", "d": 6}, seed=0
+            tmp_path, structure={"kind": "argsort", "d": 6}, max_traces=10, seed=0
         )
-        monkeypatch.setenv("STOCHINV_MAX_TRACES", "10")
         assert run_cli("enumerate", "--config", cfg) == 2
         assert "cap" in capsys.readouterr().err
 
@@ -217,6 +263,23 @@ class TestSampleCommand:
             assert rec["log_prob"] == pytest.approx(
                 by_trace[json.dumps(rec["trace"])], abs=1e-12
             )
+
+    def test_sample_and_enumerate_print_the_same_log_prob(self, tmp_path):
+        # The enumeration added each event in another order of operations:
+        # 769 of these 2000 draws printed a log_prob that differed.
+        cfg = write_config(
+            tmp_path, structure={"kind": "binary_tree", "n": 5},
+            theta={"init": "random", "low": -0.7, "high": 0.7}, seed=11,
+        )
+        enum_out, samp_out = tmp_path / "enum.json", tmp_path / "samples.jsonl"
+        assert run_cli("enumerate", "--config", cfg, "--out", str(enum_out)) == 0
+        assert run_cli("sample", "--config", cfg, "-n", "2000", "--out", str(samp_out)) == 0
+        by_trace = {
+            json.dumps(t["trace"]): t["log_prob"]
+            for t in json.loads(enum_out.read_text())["traces"]
+        }
+        draws = [json.loads(line) for line in samp_out.read_text().splitlines()]
+        assert [d["log_prob"] for d in draws] == [by_trace[json.dumps(d["trace"])] for d in draws]
 
     def test_sampling_agrees_with_enumeration_chisquare(self, tmp_path):
         from stochinv import TopK, ThetaVector, chi_square_fit, enumerate_distribution, Trace
@@ -539,8 +602,7 @@ class TestConfigHandling:
         assert run_cli("enumerate", "--config", cfg) == 2
         assert "structure.d" in capsys.readouterr().err
 
-    def test_non_integer_max_traces_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
+    def test_non_integer_max_traces_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, structure={"kind": "top_k", "d": 3, "k": 2},
             max_traces="a", seed=0,
@@ -548,16 +610,8 @@ class TestConfigHandling:
         assert run_cli("enumerate", "--config", cfg) == 2
         assert "max_traces" in capsys.readouterr().err
 
-    def test_negative_max_traces_env_is_exit_2(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 2}, seed=0)
-        monkeypatch.setenv("STOCHINV_MAX_TRACES", "-5")
-        assert run_cli("enumerate", "--config", cfg) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and "STOCHINV_MAX_TRACES" in lines[0]
-
-    def test_single_track_sample_is_exit_2(self, tmp_path, monkeypatch, capsys):
+    def test_single_track_sample_is_exit_2(self, tmp_path, capsys):
         # With one draw per iteration the Monte Carlo stderr would be NaN.
-        monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
         cfg = write_config(
             tmp_path,
             structure={"kind": "top_k", "d": 4, "k": 2},
@@ -710,10 +764,8 @@ class TestConfigHandling:
             ({"max_traces": 100.5}, "max_traces"),
         ],
     )
-    def test_non_integral_integer_field_is_exit_2(self, tmp_path, monkeypatch, capsys,
-                                                   fields, name):
+    def test_non_integral_integer_field_is_exit_2(self, tmp_path, capsys, fields, name):
         # Booleans and fractional numbers were truncated to ints and ran.
-        monkeypatch.delenv("STOCHINV_MAX_TRACES", raising=False)
         config = {"structure": {"kind": "top_k", "d": 3, "k": 2}, "seed": 0}
         cfg = write_config(tmp_path, **{**config, **fields})
         assert run_cli("enumerate", "--config", cfg) == 2
@@ -960,6 +1012,51 @@ class TestConfigHandling:
         assert len(error_line(long)) <= 200
         # A short value is shown whole, as repr shows it.
         assert error_line(short).endswith(f" {short!r}")
+
+    @pytest.mark.parametrize(
+        "command, field", [*[(c, "out") for c in COMMAND_NAMES], ("fit", "fit.theta_out")]
+    )
+    def test_output_path_in_a_missing_directory_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys, command, field):
+        # A 2000-iteration fit with fit.theta_out in a missing directory ran
+        # every iteration, then exited 2 with nothing written.
+        owner, name = FIRST_WORK[command]
+
+        def work(*args, **kwargs):
+            pytest.fail(f"{name} ran before {field} was checked")
+
+        monkeypatch.setattr(owner, name, work)
+        missing = str(tmp_path / "missing" / "output")
+        fit = {"target": [0]}
+        extra = ["-n", "1"] if command in ("sample", "condcheck") else []
+        if field == "out":
+            extra += ["--out", missing]
+        else:
+            fit["theta_out"] = missing
+        cfg = write_config(
+            tmp_path,
+            structure={"kind": "top_k", "d": 3, "k": 1},
+            estimators=[{"kind": "t_reinforce"}],
+            n_samples=4,
+            optimizer={"iterations": 1},
+            fit=fit,
+            seed=0,
+        )
+        assert run_cli(command, "--config", cfg, *extra) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {field} ")
+
+    def test_theta_next_to_an_out_that_is_a_directory_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        # The fit ran every iteration, then could not write its theta.
+        (tmp_path / "fit.csv.theta.json").mkdir()
+        monkeypatch.setattr(oracle, "enumerate_distribution", lambda *a, **k: pytest.fail(
+            "enumerate_distribution ran before the theta path was checked"))
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1},
+                           optimizer={"iterations": 1}, fit={"target": [0]}, seed=0)
+        assert run_cli("fit", "--config", cfg, "--out", str(tmp_path / "fit.csv")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write out ")
 
     @pytest.mark.parametrize("command", ["enumerate", "sample", "condcheck"])
     def test_sections_a_command_never_reads_are_ignored(self, tmp_path, command):

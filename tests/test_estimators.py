@@ -116,6 +116,33 @@ class TestControlVariates:
         with pytest.raises(InvalidControlVariateError):
             grad_relax(sdef, theta, lambda x: 0.0, bad, 2)
 
+    def test_self_test_runs_once_per_control_variate(self):
+        # The check cost 2 * n_keys + 1 evaluations on every call.
+        sdef = TopK(3, 1)
+        theta = seeded_theta(sdef, 7)
+        quadratic = quadratic_control_variate(np.array([0.1, 0.2, 0.3]))
+        evaluations = []
+
+        def counting(u):
+            evaluations.append(1)
+            return quadratic.value_and_grad(u)
+
+        cv = ControlVariate(counting)
+        spent = []
+        for seed in (0, 1):
+            before = len(evaluations)
+            grad_relax(sdef, theta, lambda x: 0.0, cv, seed, n_samples=4)
+            spent.append(len(evaluations) - before)
+        assert spent[0] - spent[1] == 2 * sdef.n_keys + 1
+
+    def test_failing_control_variate_raises_on_every_call(self):
+        bad = ControlVariate(lambda u: (float(u.values.sum()), np.zeros(len(u.keys))))
+        sdef = TopK(3, 1)
+        theta = seeded_theta(sdef, 6)
+        for seed in (2, 3):
+            with pytest.raises(InvalidControlVariateError):
+                grad_relax(sdef, theta, lambda x: 0.0, bad, seed)
+
     @pytest.mark.parametrize("scale", [1.0, 1e13])
     def test_self_test_resolves_large_utilities(self, scale):
         # An absolute step vanishes next to 1e13: the difference was 0/0,
