@@ -13,6 +13,8 @@ directory (``as_output_path``).
 Config sections are read through ``_object``, paths through ``as_path``
 and JSON files through ``_read_json``; a config value quoted in an error
 goes through ``bounded_repr``.  ``max_traces`` is the enumeration cap.
+``_records_csv`` writes the records of ``enumerate`` and ``sample`` as CSV:
+float cells through ``_fmt``, other cells as ``_compact_json``.
 ``build_estimator_runner`` checks an estimator section and returns its
 ``estimators`` function with the section's settings bound by keyword;
 ``hamming_loss`` is the loss of ``variance`` and ``fit``.
@@ -29,6 +31,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 
@@ -150,7 +153,7 @@ def check_theta_limit(labels, values, mask, where: str = "") -> None:
     if beyond.size:
         i = beyond[0]
         raise ConfigError(
-            f"theta of key {_label_key(labels[i])} is {float(values[i])!r}{where},"
+            f"theta of key {_compact_json(labels[i])} is {float(values[i])!r}{where},"
             f" beyond the limit |theta| <= {THETA_LIMIT:g}"
         )
 
@@ -272,8 +275,18 @@ def _trace_doc(sdef, trace):
     return [[[pi, labels[w]] for pi, w in level] for level in trace.levels]
 
 
-def _label_key(label) -> str:
-    return json.dumps(label, separators=(",", ":"))
+def _compact_json(value) -> str:
+    """``value`` as JSON with no spaces: a key label, trace or structure cell."""
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _records_csv(header, records) -> str:
+    """The dicts ``records`` as CSV with the columns ``header``: a float cell
+    through ``_fmt``, any other cell as compact JSON."""
+    return dump_csv(header, (
+        [_fmt(v) if isinstance(v, float) else _compact_json(v) for v in map(r.get, header)]
+        for r in records
+    ))
 
 
 # --------------------------------------------------------------------------
@@ -287,34 +300,19 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         raise StochinvError(
             f"enumerated probabilities sum to {total!r}, expected 1 within 1e-9"
         )
-    if fmt == "csv":
-        rows = [
-            (
-                json.dumps(_trace_doc(sdef, e.trace), separators=(",", ":")),
-                _fmt(e.log_prob),
-                _fmt(e.prob),
-                json.dumps(sdef.encode_value(e.structure), separators=(",", ":")),
-            )
-            for e in dist.entries
-        ]
-        return dump_csv(("trace", "log_prob", "prob", "structure"), rows)
-    return dump_json(
+    entries = [
         {
-            "total_prob": total,
-            "traces": [
-                {
-                    "trace": _trace_doc(sdef, e.trace),
-                    "log_prob": e.log_prob,
-                    "prob": e.prob,
-                    "structure": sdef.encode_value(e.structure),
-                }
-                for e in dist.entries
-            ],
-            "structure_marginals": {
-                _label_key(k): v for k, v in dist.structure_marginals.items()
-            },
+            "trace": _trace_doc(sdef, e.trace),
+            "log_prob": e.log_prob,
+            "prob": e.prob,
+            "structure": sdef.encode_value(e.structure),
         }
-    )
+        for e in dist.entries
+    ]
+    if fmt == "csv":
+        return _records_csv(("trace", "log_prob", "prob", "structure"), entries)
+    marginals = {_compact_json(k): v for k, v in dist.structure_marginals.items()}
+    return dump_json({"total_prob": total, "traces": entries, "structure_marginals": marginals})
 
 
 def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
@@ -331,15 +329,7 @@ def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
             }
         )
     if fmt == "csv":
-        rows = [
-            (
-                json.dumps(r["structure"], separators=(",", ":")),
-                json.dumps(r["trace"], separators=(",", ":")),
-                _fmt(r["log_prob"]),
-            )
-            for r in records
-        ]
-        return dump_csv(("structure", "trace", "log_prob"), rows)
+        return _records_csv(("structure", "trace", "log_prob"), records)
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
@@ -363,7 +353,7 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         var = per.var(axis=0, ddof=1) if n_rows > 1 else np.zeros(per.shape[1])
         stderr = np.sqrt(var / n_rows)
         for i, label in enumerate(sdef.key_labels):
-            rows.append((spec["kind"], _label_key(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
+            rows.append((spec["kind"], _compact_json(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
     return _table(("estimator", "coordinate", "mean", "variance", "stderr"), rows, fmt)
 
 
@@ -403,10 +393,13 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     if track_samples < 2:
         raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
     # The final theta goes to fit.theta_out, else next to the output file.
+    out = config.get("out")
     if fit.get("theta_out") is not None:
         theta_out = (as_output_path(fit["theta_out"], "fit.theta_out"), "fit.theta_out")
-    elif config.get("out") is not None:
-        theta_out = (as_output_path(config["out"] + ".theta.json", "out"), "out")
+        if out is not None and os.path.realpath(theta_out[0]) == os.path.realpath(out):
+            raise ConfigError(f"fit.theta_out {bounded_repr(theta_out[0])} is the out file")
+    elif out is not None:
+        theta_out = (as_output_path(out + ".theta.json", "out"), "out")
     else:
         theta_out = None
 
@@ -481,7 +474,7 @@ def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
     pvalues = {}
     rates = np.exp(-theta.theta)
     for i, label in enumerate(sdef.key_labels):
-        key = _label_key(label)
+        key = _compact_json(label)
         if theta.mask[i] or n < 100:
             pvalues[key] = None
         else:

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
+    InvalidParameterError,
     InvalidTraceError,
     MaskedPartitionError,
     StructureDefinitionError,
@@ -380,32 +381,24 @@ class CondBuildRecord:
     tail: tuple    # of (key: int, noise: float)
 
 
-def _on_lists(fn, *arrays):
-    """``fn`` on the arrays as Python lists, whose float arithmetic is the
-    same IEEE operations as on numpy scalars, only faster.  Where a rate or
-    a rate sum underflows to 0, Python raises on the division, so
-    ``fn`` runs again on the arrays, whose scalars divide to inf or nan."""
-    try:
-        return fn(*[a.tolist() for a in arrays])
-    except ZeroDivisionError:
-        return fn(*arrays)
-
-
-def _accumulate(record: CondBuildRecord, rates: np.ndarray, n: int) -> np.ndarray:
-    def on(rates):
-        values = [0.0] * n
-        for k, eps in record.tail:
-            values[k] = eps / rates[k]
-        for w, eps, keys in reversed(record.events):
-            s = 0.0
-            for k in keys:
-                s += rates[k]
-            m = eps / s
-            for k in keys:
-                values[k] += m
-        return values
-
-    return np.array(_on_lists(on, rates), dtype=np.float64)
+def _rates(record: CondBuildRecord, theta: ThetaVector) -> list:
+    """exp(-theta) as a list, once the record's keys are checked against
+    theta.  A rate of 0 on a key of the record (an unmasked theta above
+    about 745) raises, naming the key, so no division by the rates or
+    their sums is by zero.  Float arithmetic on lists is the same IEEE
+    operations as on numpy scalars, only faster."""
+    if record.key_labels != theta.keys:
+        raise InvalidArgumentError("record keys do not match theta")
+    rates = np.exp(-theta.theta).tolist()
+    if 0.0 in rates:
+        used = {k for k, _eps in record.tail}.union(*(keys for _w, _eps, keys in record.events))
+        for k in sorted(used):
+            if rates[k] == 0.0:
+                raise InvalidParameterError(
+                    f"theta {float(theta.theta[k])!r} of key {theta.keys[k]!r}"
+                    " underflows its rate exp(-theta) to 0"
+                )
+    return rates
 
 
 def replay_conditional(record: CondBuildRecord, theta: ThetaVector) -> Utilities:
@@ -415,10 +408,18 @@ def replay_conditional(record: CondBuildRecord, theta: ThetaVector) -> Utilities
     bit; with a perturbed theta it is the reparameterized sample map, the
     function whose Jacobian ``cond_jacobian_vjp`` contracts against.
     """
-    if record.key_labels != theta.keys:
-        raise InvalidArgumentError("record keys do not match theta")
-    rates = np.exp(-theta.theta)
-    return Utilities(theta.keys, _accumulate(record, rates, len(theta.keys)))
+    rates = _rates(record, theta)
+    values = [0.0] * len(rates)
+    for k, eps in record.tail:
+        values[k] = eps / rates[k]
+    for _w, eps, keys in reversed(record.events):
+        s = 0.0
+        for k in keys:
+            s += rates[k]
+        m = eps / s
+        for k in keys:
+            values[k] += m
+    return Utilities(theta.keys, values)
 
 
 def cond_sample(sdef: StructureDefinition, trace: Trace, theta: ThetaVector, rng):
@@ -462,31 +463,28 @@ def cond_jacobian_vjp(record: CondBuildRecord, theta: ThetaVector, v) -> Gradien
     in exactly these terms, so the product is a single pass over the
     record.
     """
-    if record.key_labels != theta.keys:
-        raise InvalidArgumentError("record keys do not match theta")
+    rates = _rates(record, theta)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (len(theta.keys),):
         raise InvalidArgumentError("v has the wrong length")
-    def on(rates, v):
-        out = [0.0] * len(v)
-        for _w, eps, keys in record.events:
-            s = 0.0
-            vsum = 0.0
+    v = v.tolist()
+    out = [0.0] * len(v)
+    for _w, eps, keys in record.events:
+        s = 0.0
+        vsum = 0.0
+        for k in keys:
+            s += rates[k]
+            vsum += v[k]
+        if s * s >= _SMALLEST_NORMAL:
+            coeff = vsum * eps / (s * s)
             for k in keys:
-                s += rates[k]
-                vsum += v[k]
-            if s * s >= _SMALLEST_NORMAL:
-                coeff = vsum * eps / (s * s)
-                for k in keys:
-                    out[k] += coeff * rates[k]
-            else:
-                # s * s has underflowed: divide by s twice instead, which
-                # stays finite wherever eps * rate / s^2 itself is.
-                coeff = vsum * eps / s
-                for k in keys:
-                    out[k] += coeff * (rates[k] / s)
-        for k, eps in record.tail:
-            out[k] += v[k] * eps / rates[k]
-        return out
-
-    return GradientVector(theta.keys, _on_lists(on, np.exp(-theta.theta), v))
+                out[k] += coeff * rates[k]
+        else:
+            # s * s has underflowed: divide by s twice instead, which
+            # stays finite wherever eps * rate / s^2 itself is.
+            coeff = vsum * eps / s
+            for k in keys:
+                out[k] += coeff * (rates[k] / s)
+    for k, eps in record.tail:
+        out[k] += v[k] * eps / rates[k]
+    return GradientVector(theta.keys, out)

@@ -230,7 +230,7 @@ class TraceTable:
         on K5 spanning trees at five seeded thetas), not bit for bit."""
         a = -theta.theta
         scored = np.where(self.members, a[None, :], -np.inf)
-        shift = scored.max(axis=1)
+        shift = scored.max(axis=1, initial=-np.inf)  # a keyless row scores 0
         lse = shift + np.log(np.exp(scored - shift[:, None]).sum(axis=1))
         event_lp = a[self.winners] - lse[self.part_of]
         return np.bincount(

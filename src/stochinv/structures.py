@@ -315,7 +315,7 @@ def parse_graph_file(path: str):
     """Parse the line-oriented graph format.
 
     Header ``graph <directed|undirected> <num_vertices>``, one ``u v`` edge
-    per line with 0-based ids, optional ``root r`` line for directed
+    per line with 0-based ids, at most one ``root r`` line for directed
     graphs.  Blank lines and ``#`` comments are ignored.  A file with fewer
     than ``num_vertices - 1`` edges, which no spanning tree or arborescence
     can use, is rejected before any work per vertex.  Returns (directed,
@@ -355,6 +355,8 @@ def parse_graph_file(path: str):
         if fields[0] == "root":
             if not directed:
                 raise ConfigError(f"{path}:{lineno}: root line in an undirected graph")
+            if root is not None:
+                raise ConfigError(f"{path}:{lineno}: second root line")
             if len(fields) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'root <r>'")
             try:

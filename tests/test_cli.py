@@ -130,6 +130,7 @@ class TestGraphFile:
             ("graph undirected 3\n0 1\n1 0\n", "3"),
             ("graph undirected 3\nroot 1\n", "2"),
             ("graph undirected 3\n0 1 5\n", "2"),
+            ("graph directed 3\nroot 0\n0 1\nroot 1\n1 2\n", "4"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, text, fragment):
@@ -281,6 +282,22 @@ class TestSampleCommand:
         draws = [json.loads(line) for line in samp_out.read_text().splitlines()]
         assert [d["log_prob"] for d in draws] == [by_trace[json.dumps(d["trace"])] for d in draws]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_first_m_draws_are_the_draws_of_n_m(self, tmp_path, fmt):
+        cfg = write_config(
+            tmp_path, structure={"kind": "matching", "n": 3},
+            theta={"init": "random", "low": -1, "high": 1}, seed=9,
+        )
+        outs = {}
+        for n in (7, 30):
+            out = tmp_path / f"samples_{n}.{fmt}"
+            assert run_cli("sample", "--config", cfg, "-n", str(n), "--out", str(out),
+                           "--format", fmt) == 0
+            outs[n] = out.read_text().splitlines()
+        header = 1 if fmt == "csv" else 0
+        assert len(outs[7]) == header + 7 and len(outs[30]) == header + 30
+        assert outs[30][:header + 7] == outs[7]
+
     def test_sampling_agrees_with_enumeration_chisquare(self, tmp_path):
         from stochinv import TopK, ThetaVector, chi_square_fit, enumerate_distribution, Trace
 
@@ -417,6 +434,33 @@ class TestFitCommand:
         assert [(c.entropy, c.spawn_key) for c in seen] == [
             (c.entropy, c.spawn_key) for c in expected
         ]
+
+    @pytest.mark.parametrize("kind, text", [("spanning_tree", "graph undirected 1\n"),
+                                            ("arborescence", "graph directed 1\nroot 0\n")])
+    def test_one_vertex_graph_fits_at_zero_loss(self, tmp_path, kind, text):
+        # A keyless graph has one trace with no events; scoring it took the
+        # maximum of an empty row and exited 1 with a traceback.
+        graph = write_graph(tmp_path, text)
+        cfg = write_config(tmp_path, structure={"kind": kind, "graph": graph},
+                           optimizer={"iterations": 3}, fit={"target": []}, seed=0)
+        out = tmp_path / "fit.csv"
+        assert run_cli("fit", "--config", cfg, "--out", str(out)) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["expected_loss"] for row in rows] == ["0"] * 4
+
+    def test_theta_out_naming_the_out_file_is_exit_2_before_any_work(
+            self, tmp_path, monkeypatch, capsys):
+        # The fit wrote its theta and then overwrote it with the CSV.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(oracle, "enumerate_distribution", lambda *a, **k: pytest.fail(
+            "enumerate_distribution ran before fit.theta_out was checked"))
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1},
+                           optimizer={"iterations": 1},
+                           fit={"target": [0], "theta_out": "same.out"}, seed=0)
+        assert run_cli("fit", "--config", cfg, "--out", str(tmp_path / "same.out")) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: fit.theta_out 'same.out' is the out file"]
+        assert not (tmp_path / "same.out").exists()
 
     def test_invalid_target_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(

@@ -351,8 +351,8 @@ class TestConditionalJacobian:
     def test_underflowing_rates_divide_to_inf_not_raise(self):
         # exp(-400) squared underflows to 0, so the product divides by the
         # rate sum twice and stays finite: 1 / (2r) * (r / 2r) = e^400 / 4.
-        # exp(-760) is 0 itself: the division gives inf as numpy does, and
-        # the infinite sample is rejected by Utilities.
+        # exp(-760) is 0 itself, a rate nothing may divide by: the replay
+        # raises before any division.
         from stochinv import CondBuildRecord, InvalidParameterError
 
         rec = CondBuildRecord((0, 1), ((0, 1.0, (0, 1)),), ((1, 2.0),))
@@ -361,6 +361,30 @@ class TestConditionalJacobian:
             assert out.values.tolist() == [0.25 / math.exp(-400.0)] * 2
             with pytest.raises(InvalidParameterError):
                 replay_conditional(rec, ThetaVector((0, 1), [0.0, 760.0]))
+
+    def test_rate_underflowing_to_zero_raises_naming_the_key(self):
+        # exp(-760) and exp(-800) are 0.  The VJP returned [2, inf], the
+        # replay rejected its own infinite sample, and cond_sample returned
+        # finite utilities for a trace of log-probability -800.  A theta
+        # that masks a key of the record at +inf gives that key rate 0 too.
+        from stochinv import CondBuildRecord, InvalidParameterError
+
+        rec = CondBuildRecord((0, 1), ((0, 1.0, (0, 1)),), ((1, 2.0),))
+        theta = ThetaVector((0, 1), [0.0, 760.0])
+        masking = ThetaVector((0, 1), [0.0, math.inf], [False, True])
+        sdef, trace, deep = TopK(2, 1), Trace((((0, 0),),)), ThetaVector((0, 1), [800.0, 0.0])
+        assert trace_log_prob(sdef, trace, deep) == -800.0
+        calls = [
+            (lambda: cond_jacobian_vjp(rec, theta, [1.0, 1.0]), "760.0", "1"),
+            (lambda: replay_conditional(rec, theta), "760.0", "1"),
+            (lambda: cond_sample(sdef, trace, deep, np.random.default_rng(0)), "800.0", "0"),
+            (lambda: cond_jacobian_vjp(rec, masking, [1.0, 1.0]), "inf", "1"),
+            (lambda: replay_conditional(rec, masking), "inf", "1"),
+        ]
+        for call, value, key in calls:
+            with pytest.raises(InvalidParameterError,
+                               match=f"^theta {value} of key {key} underflows"):
+                call()
 
     @pytest.mark.parametrize("c", [400.0, 700.0])
     @pytest.mark.parametrize(

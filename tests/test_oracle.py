@@ -205,6 +205,13 @@ class TestTraceTable:
             lps = TraceTable(dist).log_probs(theta1)
             assert np.array_equal(lps, dense_log_probs(dist, theta1)), name
 
+    @pytest.mark.parametrize("sdef", [SpanningTree(range(1), []), Arborescence(range(1), [], 0)],
+                             ids=["spanning_tree", "arborescence"])
+    def test_keyless_instance_scores_its_one_trace_at_zero(self, sdef):
+        # The one trace has no events; the maximum of an empty row raised.
+        theta = ThetaVector.constant(sdef.key_labels)
+        assert TraceTable(enumerate_distribution(sdef, theta)).log_probs(theta).tolist() == [0.0]
+
     def test_log_probs_equal_dense_reference_with_masked_key(self):
         sdef = Arborescence(range(4), complete_digraph(4), 0)
         values = seeded_theta(sdef, 10).theta
