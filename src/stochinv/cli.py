@@ -180,10 +180,7 @@ def hamming_loss(sdef, fit):
 def resolve_max_traces(config: dict) -> int:
     if config.get("max_traces") is None:
         return oracle.DEFAULT_MAX_TRACES
-    cap = as_int(config["max_traces"], "max_traces")
-    if cap < 0:
-        raise ConfigError(f"max_traces must be nonnegative, got {cap}")
-    return cap
+    return as_int(config["max_traces"], "max_traces", least=0)
 
 
 def build_estimator_runner(spec: dict, field: str, n: int, sdef):
@@ -200,14 +197,7 @@ def build_estimator_runner(spec: dict, field: str, n: int, sdef):
     if kind == "t_reinforce":
         return functools.partial(estimators.grad_t_reinforce, n_samples=n, keep_per_sample=True)
     if kind in ("t_reinforce_plus", "e_reinforce_plus"):
-        k = as_int(spec.get("K", 4), f"{field}.K")
-        if k < 2:
-            raise ConfigError(f"{field}.K must be at least 2, got {k}")
-        if n < k:
-            raise ConfigError(
-                f"n_samples = {n} is below {field}.K = {k}, "
-                "the evaluations one leave-one-out batch spends"
-            )
+        k = as_int(spec.get("K", 4), f"{field}.K", least=2)
         if n % k:
             raise ConfigError(
                 f"n_samples = {n} is not a multiple of {field}.K = {k}, "
@@ -338,7 +328,7 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     specs = config.get("estimators")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
-    budget = as_int(config.get("n_samples", 1000), "n_samples")
+    budget = as_int(config.get("n_samples", 1000), "n_samples", least=1)
     runners = [
         build_estimator_runner(spec, f"estimators[{i}]", budget, sdef)
         for i, spec in enumerate(specs)
@@ -389,9 +379,7 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     work_ss, track_ss = streams
     fit = _object(config.get("fit", {}), "fit")
     loss = hamming_loss(sdef, fit)
-    track_samples = as_int(fit.get("track_samples", 32), "fit.track_samples")
-    if track_samples < 2:
-        raise ConfigError(f"fit.track_samples must be at least 2, got {track_samples}")
+    track_samples = as_int(fit.get("track_samples", 32), "fit.track_samples", least=2)
     # The final theta goes to fit.theta_out, else next to the output file.
     out = config.get("out")
     if fit.get("theta_out") is not None:
@@ -404,16 +392,15 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         theta_out = None
 
     opt_spec = _object(config.get("optimizer", {}), "optimizer")
-    iterations = as_int(opt_spec.get("iterations", 1000), "optimizer.iterations")
-    if iterations < 0:
-        raise ConfigError(f"optimizer.iterations must be at least 0, got {iterations}")
+    iterations = as_int(opt_spec.get("iterations", 1000), "optimizer.iterations", least=0)
     optimizer = _Adam(opt_spec)
     est_spec = _object(
         config.get("estimator", {"kind": "t_reinforce_plus", "K": 4}), "estimator"
     )
     # The budget per iteration defaults to K, one leave-one-out batch.
     budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
-    per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field)
+    per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field,
+                             least=1)
     runner = build_estimator_runner(est_spec, "estimator", per_iter_budget, sdef)
     max_traces = resolve_max_traces(config)
 
@@ -472,7 +459,7 @@ def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
             failures += 1
         cond_values[i] = e_cond.values
     pvalues = {}
-    rates = np.exp(-theta.theta)
+    rates = theta.rates()
     for i, label in enumerate(sdef.key_labels):
         key = _compact_json(label)
         if theta.mask[i] or n < 100:
@@ -540,16 +527,12 @@ def main(argv=None) -> int:
         out = config.get("out")
         if out is not None:
             out = as_output_path(out, "out")
-        n = args.num if command.takes_n else None
-        if n is not None and n < 0:
-            raise ConfigError(f"-n must be nonnegative, got {n}")
+        n = as_int(args.num, "-n", least=0) if command.takes_n else None
         fmt = args.format or config.get("format") or command.default_format
         if fmt not in ("json", "csv"):
             raise ConfigError(f"unknown output format {bounded_repr(fmt)}")
         sdef = build_structure(config)
-        seed = as_int(config.get("seed", 0), "seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        seed = as_int(config.get("seed", 0), "seed", least=0)
         # Spawned children are keyed by index, so the theta and work streams
         # are the same whether or not a command uses the third (tracking).
         theta_ss, *streams = np.random.SeedSequence(seed).spawn(3)

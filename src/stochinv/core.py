@@ -382,19 +382,21 @@ class CondBuildRecord:
 
 
 def _rates(record: CondBuildRecord, theta: ThetaVector) -> list:
-    """exp(-theta) as a list, once the record's keys are checked against
-    theta.  A rate of 0 on a key of the record (an unmasked theta above
-    about 745) raises, naming the key, so no division by the rates or
-    their sums is by zero.  Float arithmetic on lists is the same IEEE
-    operations as on numpy scalars, only faster."""
+    """``theta.rates()`` as a list, once the record's keys are checked
+    against theta.  A key of the record with rate 0, masked or with an
+    unmasked theta above about 745, raises, naming the key, so no division
+    by the rates or their sums is by zero.  Float arithmetic on lists is
+    the same IEEE operations as on numpy scalars, only faster."""
     if record.key_labels != theta.keys:
         raise InvalidArgumentError("record keys do not match theta")
-    rates = np.exp(-theta.theta).tolist()
+    rates = theta.rates().tolist()
     if 0.0 in rates:
         used = {k for k, _eps in record.tail}.union(*(keys for _w, _eps, keys in record.events))
         for k in sorted(used):
             if rates[k] == 0.0:
                 raise InvalidParameterError(
+                    f"key {theta.keys[k]!r} is masked in theta, but the record draws its noise"
+                    if theta.mask[k] else
                     f"theta {float(theta.theta[k])!r} of key {theta.keys[k]!r}"
                     " underflows its rate exp(-theta) to 0"
                 )

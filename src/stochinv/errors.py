@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all stochinv modules, config field parsers,
-and the bounded repr their messages quote values with."""
+"""Exception hierarchy shared by all stochinv modules, config field parsers
+(a field's lower bound is ``as_int``'s ``least``) and the bounded repr."""
 
 import math
 import os
@@ -71,18 +71,23 @@ def bounded_repr(value) -> str:
     return text if len(text) <= VALUE_REPR_CHARS else text[:VALUE_REPR_CHARS - 3] + "..."
 
 
-def as_int(value, field: str) -> int:
-    """``value`` as an int; integral floats and integer strings are accepted.
+def as_int(value, field: str, least=None) -> int:
+    """``value`` as an int of at least ``least`` (if given); integral floats
+    and integer strings are accepted.
 
     Booleans and non-integral numbers are rejected rather than truncated.
     """
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if isinstance(value, (Integral, str)) and not isinstance(value, bool):
         try:
-            return int(value)
+            number = int(value)
         except ValueError:
             pass
+        else:
+            if least is None or number >= least:
+                return number
+            raise ConfigError(f"{field} must be at least {least}, got {number}")
     raise ConfigError(f"{field} must be an integer, got {bounded_repr(value)}")
 
 

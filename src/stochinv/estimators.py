@@ -134,7 +134,7 @@ def utility_score(theta: ThetaVector, utilities: Utilities) -> np.ndarray:
     each coordinate is -1 + e_k * rate_k; masked keys are constants and
     contribute 0.
     """
-    score = -1.0 + utilities.values * np.exp(-theta.theta)
+    score = -1.0 + utilities.values * theta.rates()
     score[theta.mask] = 0.0
     return score
 

@@ -233,9 +233,9 @@ class TraceTable:
         shift = scored.max(axis=1, initial=-np.inf)  # a keyless row scores 0
         lse = shift + np.log(np.exp(scored - shift[:, None]).sum(axis=1))
         event_lp = a[self.winners] - lse[self.part_of]
-        return np.bincount(
+        return np.bincount(  # of no weights, is integer: keep float64
             self.trace_ids, weights=event_lp, minlength=self.n_traces
-        )
+        ).astype(np.float64, copy=False)
 
     def expected(self, theta: ThetaVector, per_trace_values) -> float:
         probs = np.exp(self.log_probs(theta))

@@ -4,8 +4,8 @@ Every key ``k`` carries a real parameter ``theta_k``; the corresponding
 exponential rate is ``exp(-theta_k)``, so theta is unconstrained and plays
 the role of a Gumbel location.  A key may instead be marked deterministic,
 which stands for an infinite rate: its utility is the constant 0.  Infinite
-rates are kept out of floating-point arithmetic everywhere; the mask is the
-single source of truth.
+rates are kept out of floating-point arithmetic everywhere: the mask is the
+single source of truth, and ``ThetaVector.rates`` gives masked keys 0.0.
 """
 
 from __future__ import annotations
@@ -105,6 +105,10 @@ class ThetaVector:
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def rates(self) -> np.ndarray:
+        """exp(-theta) per key, 0.0 on masked keys, whose theta is never exponentiated."""
+        return np.exp(-self.theta, out=np.zeros(len(self.keys)), where=~self.mask)
 
     def replace(self, theta) -> "ThetaVector":
         """Same keys and mask, new theta values."""

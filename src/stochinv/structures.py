@@ -559,13 +559,7 @@ class Arborescence(_SetValued):
         head = self._head
         for k in sorted(K):
             buckets[slot[head[k]]].append(k)
-        parts = [tuple(b) for b in buckets]
-        for S, P in zip(targets, parts):
-            if not P:
-                raise InfeasibleGraphError(
-                    f"no surviving edge enters the vertex group {sorted(S)!r}"
-                )
-        return parts
+        return [tuple(b) for b in buckets]
 
     def _find_cycle(self, R, winners) -> Optional[list]:
         """First winner-pointer cycle in canonical super-node order, as a
@@ -603,8 +597,8 @@ class Arborescence(_SetValued):
         keep = frozenset([
             k for k in K if not (tail[k] in loop_vertices and head[k] in loop_vertices)
         ])
-        if not keep:
-            # The recursion would stop with the loop unjoined to the root.
+        if not any(head[k] in loop_vertices for k in keep):
+            # Only the new loop can lose every entering edge: just its own go.
             raise InfeasibleGraphError(
                 f"no surviving edge enters the vertex group {sorted(loop_vertices)!r}"
             )

@@ -17,6 +17,7 @@ import stochinv
 from stochinv import cli, estimators, oracle
 from stochinv.cli import _build_parser, main
 from stochinv.structures import parse_graph_file
+from conftest import complete_digraph
 
 
 COMMAND_NAMES = ["enumerate", "sample", "variance", "fit", "condcheck"]
@@ -121,6 +122,28 @@ class TestGraphFile:
         path = write_graph(tmp_path, K3_DIRECTED)
         directed, nv, edges, root = parse_graph_file(path)
         assert directed and root == 0 and len(edges) == 6
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        plain = write_graph(tmp_path, "graph undirected 3\n0 1\n1 2\n0 2\n", "plain.txt")
+        commented = write_graph(
+            tmp_path,
+            "# a triangle\n\ngraph undirected 3   # header\n0 1\n   # indented\n\n"
+            "1 2# no space\n0 2 # last\n# trailing\n",
+            "commented.txt",
+        )
+        assert parse_graph_file(commented) == parse_graph_file(plain)
+
+    def test_config_root_overrides_the_file_root(self, tmp_path):
+        graph = write_graph(tmp_path, K3_DIRECTED)  # its root line names 0
+        cfg = write_config(tmp_path, structure={"kind": "arborescence", "graph": graph,
+                                                "root": 2}, seed=0)
+        out = tmp_path / "enum.json"
+        assert run_cli("enumerate", "--config", cfg, "--out", str(out)) == 0
+        sdef = stochinv.Arborescence(range(3), complete_digraph(3), 2)
+        dist = oracle.enumerate_distribution(sdef, stochinv.ThetaVector.constant(sdef.key_labels))
+        assert json.loads(out.read_text())["structure_marginals"] == {
+            cli._compact_json(x): p for x, p in dist.structure_marginals.items()
+        }
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -448,6 +471,22 @@ class TestFitCommand:
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [row["expected_loss"] for row in rows] == ["0"] * 4
 
+    def test_monte_carlo_tracking_past_the_trace_cap(self, tmp_path):
+        # TopK(6, 3) has 120 traces, past a cap of 10, so fit tracks the
+        # loss from its own samples and reports their standard error.
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 6, "k": 3},
+                           max_traces=10, optimizer={"iterations": 3},
+                           fit={"target": [0, 1, 2]}, seed=4)
+        outs = [tmp_path / "fit1.csv", tmp_path / "fit2.csv"]
+        for out in outs:
+            assert run_cli("fit", "--config", cfg, "--out", str(out)) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rows = list(csv.DictReader(outs[0].read_text().splitlines()))
+        assert [row["iter"] for row in rows] == ["0", "1", "2", "3"]
+        assert all(float(row["expected_loss_stderr"]) > 0 for row in rows)
+        theta = json.loads((tmp_path / "fit1.csv.theta.json").read_text())
+        assert theta["keys"] == list(range(6)) and len(theta["theta"]) == 6
+
     def test_theta_out_naming_the_out_file_is_exit_2_before_any_work(
             self, tmp_path, monkeypatch, capsys):
         # The fit wrote its theta and then overwrote it with the CSV.
@@ -508,6 +547,16 @@ class TestCondcheckCommand:
         assert run_cli("condcheck", "--config", cfg, "-n", "0", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["roundtrip_failures"] == 0
+
+    def test_csv_format(self, tmp_path):
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=1)
+        out = tmp_path / "cond.csv"
+        assert run_cli("condcheck", "--config", cfg, "-n", "200", "--format", "csv",
+                       "--out", str(out)) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[:2] == [["field", "key", "value"], ["roundtrip_failures", "0", ""]]
+        assert [row[:2] for row in rows[2:]] == [["ks_pvalue", k] for k in "012"]
+        assert all(0.0 < float(row[2]) <= 1.0 for row in rows[2:])
 
     def test_round_trip_and_marginals(self, tmp_path):
         graph = write_graph(tmp_path, K4_UNDIRECTED)
@@ -777,6 +826,24 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, **{**config, **fields})
         assert run_cli(command, "--config", cfg) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fields, first_work, field", [
+        ("variance", {"n_samples": 0}, (estimators, "grad_t_reinforce"), "n_samples"),
+        ("fit", {"estimator": {"kind": "t_reinforce", "n_samples": 0}},
+         (oracle, "enumerate_distribution"), "estimator.n_samples"),
+    ], ids=["variance", "fit"])
+    def test_zero_budget_is_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                   command, fields, first_work, field):
+        # The estimator raised this itself; fit enumerated the instance first.
+        monkeypatch.setattr(*first_work, lambda *a, **k: pytest.fail(
+            f"{first_work[1]} ran before {field} was checked"))
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1},
+                           estimators=[{"kind": "t_reinforce"}],
+                           optimizer={"iterations": 1}, fit={"target": [0]}, seed=0,
+                           **fields)
+        assert run_cli(command, "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {field} must be at least 1, got 0"]
 
     @pytest.mark.parametrize("command", ["variance", "fit"])
     def test_leave_one_out_budget_below_k_is_exit_2(self, tmp_path, capsys, command):
@@ -1112,6 +1179,26 @@ class TestConfigHandling:
         extra = ["-n", "1"] if command in ("sample", "condcheck") else []
         out = tmp_path / "out.json"
         assert run_cli(command, "--config", cfg, *extra, "--out", str(out)) == 0
+
+
+def test_masked_key_at_minus_800_leaves_stderr_empty(tmp_path):
+    # exp(800) for the masked key printed numpy overflow warnings to stderr.
+    # A separate process shows stderr as a user sees it.
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"keys": [0, 1, 2], "theta": [-800.0, 0.1, 0.2],
+                                 "mask": [True, False, False]}))
+    cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1},
+                       theta={"init": "file", "path": str(theta)}, n_samples=20,
+                       estimators=[{"kind": "e_reinforce"},
+                                   {"kind": "relax", "control_variate": {"kind": "quadratic"}}])
+    src = str(Path(stochinv.__file__).resolve().parent.parent)
+    for argv in (["variance"], ["condcheck", "-n", "5"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "stochinv.cli", *argv, "--config", cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert done.stdout
 
 
 def test_readme_lists_every_command():

@@ -365,26 +365,56 @@ class TestConditionalJacobian:
     def test_rate_underflowing_to_zero_raises_naming_the_key(self):
         # exp(-760) and exp(-800) are 0.  The VJP returned [2, inf], the
         # replay rejected its own infinite sample, and cond_sample returned
-        # finite utilities for a trace of log-probability -800.  A theta
-        # that masks a key of the record at +inf gives that key rate 0 too.
+        # finite utilities for a trace of log-probability -800.
         from stochinv import CondBuildRecord, InvalidParameterError
 
         rec = CondBuildRecord((0, 1), ((0, 1.0, (0, 1)),), ((1, 2.0),))
         theta = ThetaVector((0, 1), [0.0, 760.0])
-        masking = ThetaVector((0, 1), [0.0, math.inf], [False, True])
         sdef, trace, deep = TopK(2, 1), Trace((((0, 0),),)), ThetaVector((0, 1), [800.0, 0.0])
         assert trace_log_prob(sdef, trace, deep) == -800.0
         calls = [
             (lambda: cond_jacobian_vjp(rec, theta, [1.0, 1.0]), "760.0", "1"),
             (lambda: replay_conditional(rec, theta), "760.0", "1"),
             (lambda: cond_sample(sdef, trace, deep, np.random.default_rng(0)), "800.0", "0"),
-            (lambda: cond_jacobian_vjp(rec, masking, [1.0, 1.0]), "inf", "1"),
-            (lambda: replay_conditional(rec, masking), "inf", "1"),
         ]
         for call, value, key in calls:
             with pytest.raises(InvalidParameterError,
                                match=f"^theta {value} of key {key} underflows"):
                 call()
+
+    @pytest.mark.parametrize("masked_value", [math.inf, 0.5])
+    def test_record_drawing_a_masked_key_raises_naming_it(self, masked_value):
+        # A masked key is a deterministic winner and draws no noise, so a
+        # record that draws key 1 cannot be replayed under a theta masking
+        # it.  At theta 0.5 the replay ignored the mask and gave key 1 a
+        # positive utility; at +inf it raised that the rate underflows.
+        from stochinv import CondBuildRecord, InvalidParameterError
+
+        rec = CondBuildRecord((0, 1), ((0, 1.0, (0, 1)),), ((1, 2.0),))
+        masking = ThetaVector((0, 1), [0.0, masked_value], [False, True])
+        for call in (lambda: replay_conditional(rec, masking),
+                     lambda: cond_jacobian_vjp(rec, masking, [1.0, 1.0])):
+            with pytest.raises(InvalidParameterError, match="^key 1 is masked in theta"):
+                call()
+
+    def test_masked_key_at_minus_800_is_never_exponentiated(self):
+        # Each of these computed exp(800) for the masked key, warning of
+        # an overflow, and multiplied the inf by a 0 utility.
+        import warnings
+
+        from stochinv.estimators import utility_score
+
+        sdef = TopK(3, 1)
+        theta = ThetaVector((0, 1, 2), [-800.0, 0.1, 0.2], [True, False, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = sample_utilities(theta, 0)
+            assert utility_score(theta, e)[0] == 0.0
+            _x, trace = run_struct(sdef, e)
+            e_cond, rec = cond_sample(sdef, trace, theta, np.random.default_rng(1))
+            assert e_cond.values[0] == 0.0
+            assert np.array_equal(replay_conditional(rec, theta).values, e_cond.values)
+            assert cond_jacobian_vjp(rec, theta, [1.0, 1.0, 1.0]).values[0] == 0.0
 
     @pytest.mark.parametrize("c", [400.0, 700.0])
     @pytest.mark.parametrize(

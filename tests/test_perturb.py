@@ -37,6 +37,17 @@ class TestThetaVector:
         assert new.mask.tolist() == [False, True]
         assert new.theta.tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("masked", [-800.0, np.inf, -np.inf, np.nan])
+    def test_rates_are_zero_on_masked_keys_without_exponentiating(self, masked):
+        values = [0.5, masked, -3.0, 760.0]
+        theta = ThetaVector(("a", "b", "c", "d"), values, [False, True, False, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rates = theta.rates()
+        expected = [math.exp(-0.5), 0.0, math.exp(3.0), 0.0]
+        assert rates.dtype == np.float64 and rates.tolist() == expected
+        assert ThetaVector((), []).rates().dtype == np.float64
+
 
 class TestUtilities:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -1.0])

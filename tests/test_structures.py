@@ -267,21 +267,26 @@ class TestArborescence:
         with pytest.raises(InfeasibleGraphError):
             Arborescence([0, 1, 2], [(0, 1)], 0)
 
-    def test_unenterable_cycle_is_infeasible_on_every_path(self):
+    @pytest.mark.parametrize("n, edges, levels", [
+        (3, [(1, 2), (2, 1)], (((0, 1), (1, 0)),)),
+        (4, [(1, 2), (2, 1), (0, 3), (2, 3)], (((0, 2), (1, 1), (2, 0)),)),
+    ], ids=["loop_alone", "loop_beside_a_rooted_vertex"])
+    def test_unenterable_cycle_is_infeasible_on_every_path(self, n, edges, levels):
         # 1 and 2 each have an incoming edge, but only from each other: the
-        # contracted loop {1, 2} has no edge from the root's side.  Trace
-        # validation never folds the recursion, so it must fail in map.
+        # contracted loop {1, 2} has no edge from the root's side, while 3
+        # keeps its edges.  Trace validation never folds the recursion, so
+        # it must fail in map, which contracts the loop.
         from stochinv import Trace, trace_log_prob
 
-        sdef = Arborescence([0, 1, 2], [(1, 2), (2, 1)], 0)
+        sdef = Arborescence(range(n), edges, 0)
         theta = ThetaVector.constant(sdef.key_labels)
-        match = r"vertex group \[1, 2\]"
+        match = r"^no surviving edge enters the vertex group \[1, 2\]$"
         with pytest.raises(InfeasibleGraphError, match=match):
-            run_struct(sdef, [1.0, 2.0])
+            run_struct(sdef, np.arange(1.0, sdef.n_keys + 1))
         with pytest.raises(InfeasibleGraphError, match=match):
             enumerate_distribution(sdef, theta)
         with pytest.raises(InfeasibleGraphError, match=match):
-            trace_log_prob(sdef, Trace((((0, 1), (1, 0)),)), theta)
+            trace_log_prob(sdef, Trace(levels), theta)
 
     def test_unenterable_cycle_is_exit_2_naming_the_vertex_group(self, tmp_path, capsys):
         from stochinv.cli import main
