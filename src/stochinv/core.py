@@ -22,6 +22,10 @@ Every walk of the recursion is the one depth-first walker ``_walks``.  A
 trace returned by ``run_struct`` carries its walk, so the others score or
 resample it under the same definition without walking again; a trace built
 any other way is validated by a walk that its recorded winners steer.
+Walking every branch, as enumeration does, meets the same states over and
+over, so that walk can keep a memo in which each distinct state is
+expanded once; and ``_SoftmaxRows`` lets ``trace_score`` reuse each
+partition's softmax across the traces scored under one theta.
 
 Winners are removed from play by marking their rate infinite (tracked as a
 mask, never as a floating +inf): their residual utility is the constant 0,
@@ -66,7 +70,9 @@ class StructureDefinition(ABC):
     ``split`` must return pairwise-disjoint nonempty tuples covering ``K``
     exactly, in an order that is deterministic given ``(K, R)``.  ``map``
     must return a strictly smaller key set.  ``stop`` must be true on the
-    empty key set for every reachable auxiliary state.
+    empty key set for every reachable auxiliary state.  Each state
+    ``(K, R)`` must be hashable: enumeration expands each distinct state
+    once.
     """
 
     key_labels: tuple
@@ -204,25 +210,41 @@ def _carrying(levels: tuple, walk: _Walk) -> Trace:
     return trace
 
 
-def _walks(sdef: StructureDefinition, choose):
+def _walks(sdef: StructureDefinition, choose, memo=None):
     """Yield a ``_Walk``, with live frames, per leaf of the recursion, depth
     first from the root.  ``choose(parts)`` returns a level's nonempty
     iterable of winner sequences; the next is taken when the walk resumes,
     so a generator ``choose`` may hold per-branch state around its yield.
+
+    Given a dict ``memo``, the walk keeps each state it meets there, as
+    ``(K, R) -> (stopped, parts, children)`` with ``children`` mapping a
+    level's winners to the next ``(K, R)``.  Then ``stop``, ``split`` and
+    the partition check run once per distinct ``(K, R)``, and ``map`` and
+    the shrink check once per distinct ``(K, R, winners)``, so ``choose``
+    must yield hashable winners.
     """
     frames, open_levels = [], []
     K, R = sdef.initial_state()
     while True:
-        if sdef.stop(K, R):
+        state = None if memo is None else _known_state(memo, K, R)
+        if state is None:
+            stopped = sdef.stop(K, R)
+            parts = None
+            if not stopped:
+                parts = sdef.split(K, R)
+                _check_partition(parts, K)
+            if memo is not None:
+                state = memo[K, R] = (stopped, parts, {})
+        else:
+            stopped, parts, _children = state
+        if stopped:
             yield _Walk(sdef, frames, K)
         else:
-            parts = sdef.split(K, R)
-            _check_partition(parts, K)
-            open_levels.append((K, R, parts, iter(choose(parts))))
+            open_levels.append((K, R, parts, iter(choose(parts)), state))
             frames.append(None)
         # Take the next branch of the deepest level that has one left.
         while open_levels:
-            K, R, parts, branches = open_levels[-1]
+            K, R, parts, branches, state = open_levels[-1]
             winners = next(branches, None)
             if winners is not None:
                 break
@@ -230,10 +252,25 @@ def _walks(sdef: StructureDefinition, choose):
             frames.pop()
         else:
             return
-        K_next, R_next = sdef.map(K, R, winners)
-        _check_shrink(K_next, K)
+        child = None if state is None else state[2].get(winners)
+        if child is None:
+            child = sdef.map(K, R, winners)
+            _check_shrink(child[0], K)
+            if state is not None:
+                state[2][winners] = child
         frames[-1] = (K, R, parts, winners)
-        K, R = K_next, R_next
+        K, R = child
+
+
+def _known_state(memo: dict, K: frozenset, R):
+    """``memo``'s entry for the state ``(K, R)``, or None on first sight."""
+    try:
+        return memo.get((K, R))
+    except TypeError:
+        raise StructureDefinitionError(
+            "the recursion state (K, R) must be hashable, got"
+            f" ({type(K).__name__}, {type(R).__name__})"
+        ) from None
 
 
 def _fold(walk: _Walk):
@@ -345,22 +382,54 @@ def trace_log_prob(sdef: StructureDefinition, trace: Trace, theta: ThetaVector) 
     return lp
 
 
-def trace_score(sdef: StructureDefinition, trace: Trace, theta: ThetaVector) -> GradientVector:
+class _SoftmaxRows(dict):
+    """softmax(-theta | P) as a list per partition ``P``, for one ``theta``,
+    computed on first use with ``trace_score``'s own arithmetic."""
+
+    __slots__ = ("theta", "_neg_theta")
+
+    def __init__(self, theta: ThetaVector):
+        super().__init__()
+        self.theta = theta
+        self._neg_theta = (-theta.theta).tolist()
+
+    def __missing__(self, P) -> list:
+        neg_theta = self._neg_theta
+        lse = _logsumexp_over(neg_theta, P)
+        row = self[P] = [math.exp(neg_theta[k] - lse) for k in P]
+        return row
+
+
+def trace_score(
+    sdef: StructureDefinition, trace: Trace, theta: ThetaVector, *, rows=None
+) -> GradientVector:
     """Gradient of ``trace_log_prob`` with respect to theta.
 
     Per stochastic event with partition P and winner w the contribution is
     -1 on w plus softmax(-theta | P) on every key of P; deterministic
     events contribute nothing, so masked coordinates stay exactly 0.
+    ``rows``, a ``_SoftmaxRows`` of this very ``theta`` object, supplies
+    each partition's softmax from its cache; the sum is the same bit for
+    bit, and scoring many traces under one theta computes each row once.
     """
     _check_theta(sdef, theta)
+    if rows is not None and rows.theta is not theta:
+        raise InvalidArgumentError("softmax rows were built for another theta")
     walk = _walk_of(sdef, trace)
-    neg_theta = (-theta.theta).tolist()
     grad = [0.0] * sdef.n_keys
-    for P, w in _stochastic_events(walk, theta.mask.tolist()):
-        lse = _logsumexp_over(neg_theta, P)
-        for k in P:
-            grad[k] += math.exp(neg_theta[k] - lse)
-        grad[w] -= 1.0
+    events = _stochastic_events(walk, theta.mask.tolist())
+    if rows is None:
+        neg_theta = (-theta.theta).tolist()
+        for P, w in events:
+            lse = _logsumexp_over(neg_theta, P)
+            for k in P:
+                grad[k] += math.exp(neg_theta[k] - lse)
+            grad[w] -= 1.0
+    else:
+        for P, w in events:
+            for k, p in zip(P, rows[P]):
+                grad[k] += p
+            grad[w] -= 1.0
     return GradientVector(theta.keys, grad)
 
 

@@ -6,11 +6,13 @@ stochastic event branches over every key of its partition with the
 categorical probability the rates imply (deterministic events take their
 forced branch, by the masked-key rule ``core`` applies when scoring).  The
 search is ``core._walks``, the one walk of the recursion, given every
-branch of each level; each leaf's frames fold with ``core``'s fold.
-Everything downstream (exact expected losses, exact gradients,
-goodness-of-fit tests) reduces to sums over the enumerated support;
-``exact_gradient`` runs the same search again in step with the entries,
-which checks them and gives ``trace_score`` each leaf's walk.
+branch of each level and a fresh memo, so each distinct state is stopped,
+split and mapped once however many traces pass through it; each leaf's
+frames fold with ``core``'s fold.  Everything downstream (exact expected
+losses, exact gradients, goodness-of-fit tests) reduces to sums over the
+enumerated support; ``exact_gradient`` runs the same search again in step
+with the entries, which checks them and gives ``trace_score`` each leaf's
+walk and one table of softmax rows for all of them.
 
 Traces far outnumber the distinct objects they are made of (Matching(5) has
 14400 traces but 120 structures), so one enumeration shares immutable
@@ -30,6 +32,7 @@ import numpy as np
 from .core import (
     StructureDefinition,
     Trace,
+    _SoftmaxRows,
     _carrying,
     _check_theta,
     _fold,
@@ -86,9 +89,10 @@ def _leaves(sdef: StructureDefinition, theta: ThetaVector):
     """Yield ``(walk, levels, events, logp)`` per leaf of ``sdef``'s trace
     tree under ``theta``, depth first.  The walk's frames and the list of
     stochastic (winner, partition) events are live: they change when the
-    search resumes.  Each distinct partition's logsumexp is computed once,
-    by ``core``'s helper, and each event adds ``-theta_w - logsumexp`` as
-    ``trace_log_prob`` adds it, so ``logp`` equals it bit for bit.
+    search resumes.  The walk expands each distinct state once, through a
+    memo of this search.  Each distinct partition's logsumexp is computed
+    once, by ``core``'s helper, and each event adds ``-theta_w - logsumexp``
+    as ``trace_log_prob`` adds it, so ``logp`` equals it bit for bit.
     """
     _check_theta(sdef, theta)
     neg_theta = (-theta.theta).tolist()
@@ -133,7 +137,7 @@ def _leaves(sdef: StructureDefinition, theta: ThetaVector):
                 mask[winners[i]] = False
                 events.pop()
 
-    for walk in _walks(sdef, branches):
+    for walk in _walks(sdef, branches, {}):
         yield walk, tuple(levels), events, logp
 
 
@@ -175,22 +179,26 @@ def exact_gradient(
     the gradient of the expectation because the score has zero mean.  The
     distribution must be the enumeration of ``sdef`` under this theta: the
     search is walked again in step with its entries, raising
-    InvalidTraceError where an entry's levels or the number of entries
-    differ, and ``trace_score`` reads each leaf's walk instead of walking.
-    A non-finite loss raises InvalidArgumentError, as in the estimators.
+    InvalidTraceError where an entry's levels or log-probability or the
+    number of entries differ.  ``trace_score`` reads each leaf's walk
+    instead of walking, and one ``_SoftmaxRows`` for the call instead of
+    each partition's softmax per trace.  A non-finite loss raises
+    InvalidArgumentError, as in the estimators.
     """
     if dist.key_labels != theta.keys:
         raise InvalidArgumentError("distribution keys do not match theta")
     grad = np.zeros(len(theta.keys))
+    rows = _SoftmaxRows(theta)
     for entry, leaf in zip_longest(dist.entries, _leaves(sdef, theta)):
-        if entry is None or leaf is None or entry.trace.levels != leaf[1]:
+        if (entry is None or leaf is None or entry.trace.levels != leaf[1]
+                or entry.log_prob != leaf[3]):
             raise InvalidTraceError(
                 "the distribution is not the enumeration of the definition under theta"
             )
         weight = entry.prob * _loss_value(loss, entry.structure)
         if weight != 0.0:
             trace = _carrying(entry.trace.levels, leaf[0])
-            grad += weight * trace_score(sdef, trace, theta).values
+            grad += weight * trace_score(sdef, trace, theta, rows=rows).values
     return GradientVector(theta.keys, grad)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stochinv import (
     Arborescence,
+    InvalidArgumentError,
     InvalidTraceError,
     SpanningTree,
     StructureDefinitionError,
@@ -25,11 +26,13 @@ from stochinv import (
     trace_log_prob,
     trace_score,
 )
+from stochinv.core import _SoftmaxRows
 from conftest import (
     complete_digraph,
     complete_graph,
     representative_instances,
     seeded_theta,
+    small_instances,
 )
 
 
@@ -223,6 +226,30 @@ class TestTraceScore:
                         - trace_log_prob(sdef, t, theta.replace(down))
                     ) / (2 * h)
                     assert g[i] == pytest.approx(fd, abs=1e-6)
+
+    @pytest.mark.parametrize("masked", [None, 0, 1, 2])
+    def test_softmax_rows_give_the_plain_score_bit_for_bit(self, masked):
+        for i, (name, sdef) in enumerate(small_instances()):
+            theta = seeded_theta(sdef, i)
+            if masked is not None:
+                if masked >= sdef.n_keys:
+                    continue
+                mask = np.zeros(sdef.n_keys, dtype=bool)
+                mask[masked] = True
+                theta = ThetaVector(sdef.key_labels, theta.theta, mask)
+            rows = _SoftmaxRows(theta)
+            for entry in enumerate_distribution(sdef, theta).entries:
+                plain = trace_score(sdef, entry.trace, theta).values
+                cached = trace_score(sdef, entry.trace, theta, rows=rows).values
+                assert np.array_equal(cached, plain), name
+
+    def test_softmax_rows_of_another_theta_object_raise(self):
+        sdef = TopK(4, 2)
+        theta = seeded_theta(sdef, 3)
+        _x, t = run_struct(sdef, sample_utilities(theta, np.random.default_rng(3)))
+        twin = theta.replace(theta.theta.copy())
+        with pytest.raises(InvalidArgumentError):
+            trace_score(sdef, t, theta, rows=_SoftmaxRows(twin))
 
 
 class TestConditionalSampling:
@@ -526,9 +553,34 @@ class _NonShrinkingMap(TopK):
         return K, R - 1
 
 
+class _NoStopOnEmptyKeys(TopK):
+    # Once the keys run out, split returns no partitions and map no winners.
+    def stop(self, K, R):
+        return False
+
+    def split(self, K, R):
+        return [tuple(sorted(K))] if K else []
+
+    def map(self, K, R, winners):
+        return (K - {winners[0]}, R - 1) if winners else (K, R)
+
+
+class _ListState(TopK):
+    # R is a one-element list: unhashable.
+    def initial_state(self):
+        return frozenset(range(self.d)), [self.k]
+
+    def stop(self, K, R):
+        return R[0] == 0 or not K
+
+    def map(self, K, R, winners):
+        return K - {winners[0]}, [R[0] - 1]
+
+
 class TestDefinitionContracts:
     @pytest.mark.parametrize(
-        "broken", [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap]
+        "broken",
+        [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap, _NoStopOnEmptyKeys],
     )
     @pytest.mark.parametrize("entry", ["run_struct", "enumerate_distribution"])
     def test_both_entry_points_raise_the_same_error(self, broken, entry):
@@ -538,6 +590,13 @@ class TestDefinitionContracts:
                 run_struct(sdef, [0.1, 0.2, 0.3])
             else:
                 enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+
+    def test_unhashable_state_runs_but_does_not_enumerate(self):
+        sdef = _ListState(3, 2)
+        x, t = run_struct(sdef, [0.3, 0.1, 0.5])
+        assert x == frozenset({0, 1}) and t.winners() == (1, 0)
+        with pytest.raises(StructureDefinitionError, match="must be hashable"):
+            enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
 
     def test_bad_partition_is_rejected(self):
         class Broken(TopK):

@@ -86,6 +86,7 @@ def test_recursion_contract_at_every_reachable_state(instance):
     for entry in dist.entries:
         K, R = sdef.initial_state()
         for level in entry.trace.levels:
+            assert isinstance(hash((K, R)), int)
             assert not sdef.stop(K, R)
             parts = sdef.split(K, R)
             assert sdef.split(K, R) == parts
@@ -95,6 +96,7 @@ def test_recursion_contract_at_every_reachable_state(instance):
             K_next, R = sdef.map(K, R, [w for _pi, w in level])
             assert K_next < K
             K = K_next
+        assert isinstance(hash((K, R)), int)
         assert sdef.stop(K, R)
         assert sdef.stop(frozenset(), R)
 

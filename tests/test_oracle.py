@@ -42,6 +42,22 @@ from conftest import (
 )
 
 
+class _Counting:
+    """Records the arguments of every ``split`` and ``map`` call."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.splits, self.maps = [], []
+
+    def split(self, K, R):
+        self.splits.append((K, R))
+        return super().split(K, R)
+
+    def map(self, K, R, winners):
+        self.maps.append((K, R, tuple(winners)))
+        return super().map(K, R, winners)
+
+
 def dense_log_probs(dist, theta):
     """Per-trace log-probs with one dense membership row per event."""
     a = -theta.theta
@@ -148,6 +164,28 @@ class TestEnumeration:
         np.testing.assert_array_equal(
             trace_score(sdef, unpickled, theta).values, trace_score(sdef, carried, theta).values
         )
+
+    @pytest.mark.parametrize(
+        "kind, args",
+        [(Matching, (4,)), (Arborescence, (range(4), complete_digraph(4), 0))],
+        ids=["matching4", "cle_K4"],
+    )
+    def test_each_state_is_split_and_each_branch_mapped_once(self, kind, args):
+        # The trace tree repeats states; the search expands each one once.
+        counting = type("Counting", (_Counting, kind), {})(*args)
+        plain = kind(*args)
+        states, branches = set(), set()
+        dist = enumerate_distribution(counting, seeded_theta(counting, 16))
+        for entry in dist.entries:
+            K, R = plain.initial_state()
+            for level in entry.trace.levels:
+                winners = tuple(w for _pi, w in level)
+                states.add((K, R))
+                branches.add((K, R, winners))
+                K, R = plain.map(K, R, winners)
+        assert len(dist) > len(states)
+        assert len(counting.splits) == len(states) and set(counting.splits) == states
+        assert len(counting.maps) == len(branches) and set(counting.maps) == branches
 
     def test_leaves_no_cyclic_garbage(self):
         for name, sdef in representative_instances():
@@ -320,7 +358,7 @@ class TestExactGradient:
             exact_gradient(tampered, sdef, theta, lambda x: 1.0)
 
     @pytest.mark.parametrize(
-        "case", ["truncated", "extra_entry", "other_definition", "other_mask"]
+        "case", ["truncated", "extra_entry", "other_definition", "other_mask", "other_theta"]
     )
     def test_distribution_not_enumerated_under_sdef_and_theta_raises(self, case):
         sdef = TopK(4, 2)
@@ -332,6 +370,9 @@ class TestExactGradient:
             entries = dist.entries + dist.entries[:1]
         elif case == "other_definition":
             entries = enumerate_distribution(TopK(4, 3), theta).entries
+        elif case == "other_theta":
+            # The same traces with other probabilities.
+            entries = enumerate_distribution(sdef, theta.replace([2.0, -1.0, 0.0, 0.7])).entries
         else:
             mask = np.zeros(sdef.n_keys, dtype=bool)
             mask[1] = True
