@@ -13,8 +13,9 @@ directory (``as_output_path``).
 Config sections are read through ``_object``, paths through ``as_path``
 and JSON files through ``_read_json``; a config value quoted in an error
 goes through ``bounded_repr``.  ``max_traces`` is the enumeration cap.
-``_records_csv`` writes the records of ``enumerate`` and ``sample`` as CSV:
-float cells through ``_fmt``, other cells as ``_compact_json``.
+Each command builds records, dicts of raw values, which ``_render`` writes
+as JSON (the records, or the command's own document) or as CSV through
+one cell rule, ``_cell``; ``sample`` writes JSON as JSON lines.
 ``build_estimator_runner`` checks an estimator section and returns its
 ``estimators`` function with the section's settings bound by keyword;
 ``hamming_loss`` is the loss of ``variance`` and ``fit``.
@@ -245,21 +246,6 @@ def dump_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def dump_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _table(header, rows, fmt: str) -> str:
-    """``rows`` as CSV, or as a JSON list of objects keyed by ``header``."""
-    if fmt == "json":
-        return dump_json([dict(zip(header, row)) for row in rows])
-    return dump_csv(header, rows)
-
-
 def _trace_doc(sdef, trace):
     labels = sdef.key_labels
     return [[[pi, labels[w]] for pi, w in level] for level in trace.levels]
@@ -270,13 +256,27 @@ def _compact_json(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
-def _records_csv(header, records) -> str:
-    """The dicts ``records`` as CSV with the columns ``header``: a float cell
-    through ``_fmt``, any other cell as compact JSON."""
-    return dump_csv(header, (
-        [_fmt(v) if isinstance(v, float) else _compact_json(v) for v in map(r.get, header)]
-        for r in records
-    ))
+def _cell(value) -> str:
+    """One CSV cell: a float through ``_fmt``, a string as it is, None
+    empty, anything else (an int, key label, trace or structure) as
+    compact JSON."""
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, str):
+        return value
+    return "" if value is None else _compact_json(value)
+
+
+def _render(fmt: str, header, records, doc=None) -> str:
+    """The dicts of raw values ``records`` as CSV with the columns ``header``,
+    one ``_cell`` each, or as JSON: ``doc`` if given, else the records."""
+    if fmt == "json":
+        return dump_json(records if doc is None else doc)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(r.get(column)) for column in header] for r in records)
+    return buf.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +299,9 @@ def cmd_enumerate(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         }
         for e in dist.entries
     ]
-    if fmt == "csv":
-        return _records_csv(("trace", "log_prob", "prob", "structure"), entries)
     marginals = {_compact_json(k): v for k, v in dist.structure_marginals.items()}
-    return dump_json({"total_prob": total, "traces": entries, "structure_marginals": marginals})
+    return _render(fmt, ("trace", "log_prob", "prob", "structure"), entries,
+                   {"total_prob": total, "traces": entries, "structure_marginals": marginals})
 
 
 def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
@@ -318,9 +317,9 @@ def cmd_sample(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
                 "log_prob": trace_log_prob(sdef, trace, theta),
             }
         )
-    if fmt == "csv":
-        return _records_csv(("structure", "trace", "log_prob"), records)
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    if fmt == "json":  # JSON lines, one record a draw
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return _render(fmt, ("structure", "trace", "log_prob"), records)
 
 
 def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
@@ -334,7 +333,8 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         for i, spec in enumerate(specs)
     ]
     loss = hamming_loss(sdef, fit)
-    rows = []
+    header = ("estimator", "coordinate", "mean", "variance", "stderr")
+    records = []
     for spec, runner in zip(specs, runners):
         report = runner(sdef, theta, loss, rng=np.random.default_rng(streams[0]))
         per = report.per_sample
@@ -342,9 +342,9 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         mean = per.mean(axis=0)
         var = per.var(axis=0, ddof=1) if n_rows > 1 else np.zeros(per.shape[1])
         stderr = np.sqrt(var / n_rows)
-        for i, label in enumerate(sdef.key_labels):
-            rows.append((spec["kind"], _compact_json(label), _fmt(mean[i]), _fmt(var[i]), _fmt(stderr[i])))
-    return _table(("estimator", "coordinate", "mean", "variance", "stderr"), rows, fmt)
+        for row in zip(sdef.key_labels, mean.tolist(), var.tolist(), stderr.tolist()):
+            records.append(dict(zip(header, (spec["kind"], *row))))
+    return _render(fmt, header, records)
 
 
 class _Adam:
@@ -414,7 +414,8 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     except InstanceTooLargeError:
         track_rng = np.random.default_rng(track_ss)
 
-    rows = []
+    header = ("iter", "expected_loss", "expected_loss_stderr", "gradient_norm")
+    records = []
     values = theta.theta.copy()
     for it in range(iterations + 1):
         current = theta.replace(values)
@@ -431,19 +432,18 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
             exp_loss = float(draws.mean())
             stderr = float(draws.std(ddof=1) / math.sqrt(track_samples))
         if it == iterations:
-            rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(0.0)))
+            records.append(dict(zip(header, (it, exp_loss, stderr, 0.0))))
             break
         # spawn keys children by a running index: this is spawn(iterations)[it].
         report = runner(sdef, current, loss, rng=np.random.default_rng(work_ss.spawn(1)[0]))
         grad = report.gradient.values
-        rows.append((it, _fmt(exp_loss), _fmt(stderr), _fmt(float(np.linalg.norm(grad)))))
+        records.append(dict(zip(header, (it, exp_loss, stderr, float(np.linalg.norm(grad))))))
         values = optimizer.update(values, grad)
         check_theta_limit(sdef.key_labels, values, theta.mask, f" at iteration {it + 1}")
 
     if theta_out is not None:
         write_output(dump_json(theta_to_json(theta.replace(values))), *theta_out)
-    header = ("iter", "expected_loss", "expected_loss_stderr", "gradient_norm")
-    return _table(header, rows, fmt)
+    return _render(fmt, header, records)
 
 
 def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
@@ -467,14 +467,10 @@ def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
         else:
             _stat, p = oracle.ks_exponential(cond_values[:, i], rates[i])
             pvalues[key] = p
-    if fmt == "csv":
-        rows = [("roundtrip_failures", str(failures), "")]
-        rows += [
-            ("ks_pvalue", k, "" if v is None else _fmt(v))
-            for k, v in sorted(pvalues.items())
-        ]
-        return dump_csv(("field", "key", "value"), rows)
-    return dump_json({"roundtrip_failures": failures, "per_key_ks_pvalues": pvalues})
+    records = [{"field": "roundtrip_failures", "value": failures}]
+    records += ({"field": "ks_pvalue", "key": k, "value": p} for k, p in sorted(pvalues.items()))
+    return _render(fmt, ("field", "key", "value"), records,
+                   {"roundtrip_failures": failures, "per_key_ks_pvalues": pvalues})
 
 
 # --------------------------------------------------------------------------

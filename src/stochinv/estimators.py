@@ -132,8 +132,10 @@ def utility_score(theta: ThetaVector, utilities: Utilities) -> np.ndarray:
 
     log p(e) = sum over unmasked k of (-theta_k - e_k exp(-theta_k)), so
     each coordinate is -1 + e_k * rate_k; masked keys are constants and
-    contribute 0.
+    contribute 0.  The utilities must have theta's keys.
     """
+    if utilities.keys != theta.keys:
+        raise InvalidArgumentError("utility keys do not match theta")
     score = -1.0 + utilities.values * theta.rates()
     score[theta.mask] = 0.0
     return score

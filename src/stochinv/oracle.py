@@ -211,9 +211,14 @@ class TraceTable:
     share heavily, and ``part_of`` maps each event to its row, so each
     partition's logsumexp runs once per new parameter vector.  Used to
     track exact expected losses during optimization without re-enumerating.
+
+    A theta must have the enumeration's keys, and is reweighted under the
+    mask the enumeration used: the table cannot tell that a theta masking
+    another key has another support.
     """
 
     def __init__(self, dist: EnumeratedDistribution):
+        self.key_labels = dist.key_labels
         n_keys = len(dist.key_labels)
         self.n_traces = len(dist.entries)
         rows = {}
@@ -236,6 +241,8 @@ class TraceTable:
         """Every trace's log-probability under ``theta``, vectorized: it
         agrees with ``trace_log_prob`` within a few ulps (at most 3.6e-15
         on K5 spanning trees at five seeded thetas), not bit for bit."""
+        if theta.keys != self.key_labels:
+            raise InvalidArgumentError("theta keys do not match the enumeration")
         a = -theta.theta
         scored = np.where(self.members, a[None, :], -np.inf)
         shift = scored.max(axis=1, initial=-np.inf)  # a keyless row scores 0

@@ -386,6 +386,43 @@ class TestVarianceCommand:
             assert float(row["mean"]) == 0.0
 
 
+class TestJsonTables:
+    @pytest.mark.parametrize("structure, labels, target", [
+        ({"kind": "top_k", "d": 3, "k": 1}, [0, 1, 2], [0]),
+        ({"kind": "spanning_tree", "graph": "GRAPH"},
+         [[u, v] for u in range(4) for v in range(u + 1, 4)], [[0, 1], [0, 2], [0, 3]]),
+    ], ids=["int_keys", "edge_keys"])
+    def test_variance_and_fit_print_numbers_and_labels_as_json_values(
+            self, tmp_path, structure, labels, target):
+        # Both tables printed every cell as its CSV string: "mean": "0.333...".
+        if structure.get("graph") == "GRAPH":
+            structure = {**structure, "graph": write_graph(tmp_path, K4_UNDIRECTED)}
+        cfg = write_config(tmp_path, structure=structure, n_samples=8,
+                           estimators=[{"kind": "e_reinforce"}, {"kind": "t_reinforce"}],
+                           optimizer={"iterations": 2}, fit={"target": target}, seed=3)
+        tables = {}
+        for command in ("variance", "fit"):
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{command}.{fmt}"
+                assert run_cli(command, "--config", cfg, "--format", fmt, "--out", str(out)) == 0
+                tables[command, fmt] = out.read_text()
+            # The JSON records, written as CSV, are the CSV table byte for byte.
+            header = tables[command, "csv"].splitlines()[0].split(",")
+            records = json.loads(tables[command, "json"])
+            assert cli._render("csv", header, records) == tables[command, "csv"]
+        rows = json.loads(tables["variance", "json"])
+        assert [row["coordinate"] for row in rows] == labels * 2
+        assert [row["estimator"] for row in rows] == (
+            ["e_reinforce"] * len(labels) + ["t_reinforce"] * len(labels))
+        for row in rows:
+            assert all(type(row[f]) is float for f in ("mean", "variance", "stderr")), row
+        rows = json.loads(tables["fit", "json"])
+        assert [row["iter"] for row in rows] == [0, 1, 2]
+        for row in rows:
+            assert all(type(row[f]) is float for f in
+                       ("expected_loss", "expected_loss_stderr", "gradient_norm")), row
+
+
 class TestFitCommand:
     def test_small_fit_improves_and_dumps_theta(self, tmp_path):
         cfg = write_config(
@@ -554,7 +591,7 @@ class TestCondcheckCommand:
         assert run_cli("condcheck", "--config", cfg, "-n", "200", "--format", "csv",
                        "--out", str(out)) == 0
         rows = list(csv.reader(out.read_text().splitlines()))
-        assert rows[:2] == [["field", "key", "value"], ["roundtrip_failures", "0", ""]]
+        assert rows[:2] == [["field", "key", "value"], ["roundtrip_failures", "", "0"]]
         assert [row[:2] for row in rows[2:]] == [["ks_pvalue", k] for k in "012"]
         assert all(0.0 < float(row[2]) <= 1.0 for row in rows[2:])
 
@@ -1179,6 +1216,78 @@ class TestConfigHandling:
         extra = ["-n", "1"] if command in ("sample", "condcheck") else []
         out = tmp_path / "out.json"
         assert run_cli(command, "--config", cfg, *extra, "--out", str(out)) == 0
+
+    # Each case: command, config, graph file text ("GRAPH" in the config
+    # names that file) and a fragment of the one error line.
+    @pytest.mark.parametrize("command, config, graph, fragment", [
+        pytest.param("enumerate", [1, 2], None, "config must be a JSON object",
+                     id="config_not_an_object"),
+        pytest.param("enumerate", {"structure": {"d": 3}}, None,
+                     "'structure' object with a 'kind'", id="structure_without_kind"),
+        pytest.param("enumerate", {"structure": {"kind": "top_k", "d": 3}}, None,
+                     "structure kind 'top_k' is missing field 'k'", id="top_k_without_k"),
+        pytest.param("fit", {"structure": {"kind": "top_k", "d": 3, "k": 1}, "fit": {}}, None,
+                     "fit needs a 'fit.target'", id="fit_without_target"),
+        *[pytest.param("fit", {"structure": structure, "fit": {"target": target}}, graph,
+                       f"fit.target is not a valid structure: {reason}", id=f"target_{name}")
+          for name, structure, graph, target, reason in [
+              ("argsort_not_a_permutation", {"kind": "argsort", "d": 3}, None, [0, 0, 1],
+               "permutation is not a bijection on the keys"),
+              ("argsort_wrong_length", {"kind": "argsort", "d": 3}, None, [0, 1],
+               "permutation has 2 entries, expected 3"),
+              ("matching_row_twice", {"kind": "matching", "n": 2}, None, [[0, 0], [0, 1]],
+               "rows are not each used exactly once"),
+              ("matching_column_twice", {"kind": "matching", "n": 2}, None, [[0, 0], [1, 0]],
+               "columns are not each used exactly once"),
+              ("binary_tree_null", {"kind": "binary_tree", "n": 3}, None, None,
+               "tree is empty"),
+              ("spanning_tree_edge_count", {"kind": "spanning_tree", "graph": "GRAPH"},
+               K4_UNDIRECTED, [[0, 1], [1, 2]], "2 edges for 4 vertices"),
+              ("spanning_tree_not_spanning", {"kind": "spanning_tree", "graph": "GRAPH"},
+               K4_UNDIRECTED, [[0, 1], [1, 2], [0, 2]], "edge (1, 2) closes a cycle"),
+              ("arborescence_edge_into_root", {"kind": "arborescence", "graph": "GRAPH"},
+               K3_DIRECTED, [[1, 0], [0, 2]], "root 0 has in-degree 1"),
+          ]],
+        *[pytest.param("enumerate", {"structure": {"kind": kind, "graph": "GRAPH"}}, text,
+                       fragment, id=f"graph_{name}")
+          for name, kind, text, fragment in [
+              ("vertex_count_not_an_integer", "spanning_tree", "graph undirected x\n0 1\n",
+               ":1: vertex count is not an integer"),
+              ("zero_vertices", "spanning_tree", "graph undirected 0\n",
+               ":1: need at least one vertex"),
+              ("root_line_field_count", "arborescence",
+               "graph directed 3\nroot 0 1\n0 1\n0 2\n", ":2: expected 'root <r>'"),
+              ("root_not_an_integer", "arborescence", "graph directed 3\nroot a\n0 1\n0 2\n",
+               ":2: root is not an integer"),
+              ("endpoints_not_integers", "spanning_tree", "graph undirected 3\n0 b\n",
+               ":2: edge endpoints are not integers"),
+              ("only_comments", "spanning_tree", "# one\n\n# two\n", ": empty graph file"),
+              ("undirected_self_loop", "spanning_tree", "graph undirected 3\n0 1\n1 1\n1 2\n",
+               "self-loop on vertex 1"),
+              ("spanning_tree_on_directed", "spanning_tree", K3_DIRECTED,
+               "spanning_tree needs an undirected graph"),
+              ("arborescence_on_undirected", "arborescence", K4_UNDIRECTED,
+               "arborescence needs a directed graph"),
+              ("arborescence_without_root", "arborescence", K3_DIRECTED.replace("root 0\n", ""),
+               "arborescence needs a root"),
+          ]],
+        pytest.param("enumerate",
+                     {"structure": {"kind": "arborescence", "graph": "GRAPH", "root": 7}},
+                     K3_DIRECTED, "root 7 is not a vertex", id="config_root_not_a_vertex"),
+        *[pytest.param("enumerate", {"structure": {"kind": kind, field: 0}}, None,
+                       f"need {field} >= 1, got 0", id=f"{kind}_{field}_0")
+          for kind, field in [("argsort", "d"), ("matching", "n"), ("binary_tree", "n")]],
+    ])
+    def test_input_fault_is_exit_2_naming_it(self, tmp_path, capsys, command, config, graph,
+                                             fragment):
+        if graph is not None:
+            path = write_graph(tmp_path, graph)
+            config = json.loads(json.dumps(config).replace('"GRAPH"', json.dumps(path)))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(command, "--config", str(cfg)) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
 
 def test_masked_key_at_minus_800_leaves_stderr_empty(tmp_path):

@@ -17,6 +17,7 @@ from stochinv import (
     ThetaVector,
     TopK,
     Trace,
+    Utilities,
     cond_jacobian_vjp,
     cond_sample,
     enumerate_distribution,
@@ -250,6 +251,55 @@ class TestTraceScore:
         twin = theta.replace(theta.theta.copy())
         with pytest.raises(InvalidArgumentError):
             trace_score(sdef, t, theta, rows=_SoftmaxRows(twin))
+
+
+class TestArgumentChecks:
+    """Each keyed or sized argument that disagrees with the definition or
+    theta raises InvalidArgumentError or InvalidTraceError, naming it."""
+
+    SDEF = TopK(3, 1)
+    OTHER = ThetaVector(("x", "y", "z"), [0.1, 0.2, 0.3])
+
+    def _trace_and_record(self):
+        theta = seeded_theta(self.SDEF, 14)
+        rng = np.random.default_rng(14)
+        _x, trace = run_struct(self.SDEF, sample_utilities(theta, rng))
+        return theta, trace, cond_sample(self.SDEF, trace, theta, rng)[1]
+
+    @pytest.mark.parametrize(
+        "utilities, match",
+        [(Utilities((0, 1, 3), [1.0, 2.0, 3.0]), "utility keys"),
+         ([1.0, 2.0], "expected 3 utility values, got 2"),
+         ([1.0, 2.0, 3.0, 4.0], "expected 3 utility values, got 4")],
+        ids=["other_keys", "short", "long"],
+    )
+    def test_run_struct_rejects_mismatched_utilities(self, utilities, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            run_struct(self.SDEF, utilities)
+
+    def test_trace_level_with_another_event_count_raises(self):
+        theta = seeded_theta(self.SDEF, 15)
+        with pytest.raises(InvalidTraceError, match="level has 2 events, split produced 1"):
+            trace_log_prob(self.SDEF, Trace((((0, 0), (1, 1)),)), theta)
+
+    @pytest.mark.parametrize("call, extra", [(trace_log_prob, ()), (trace_score, ()),
+                                             (cond_sample, (0,))],
+                             ids=["trace_log_prob", "trace_score", "cond_sample"])
+    def test_theta_of_another_definition_raises(self, call, extra):
+        _theta, trace, _record = self._trace_and_record()
+        with pytest.raises(InvalidArgumentError, match="theta keys do not match"):
+            call(self.SDEF, trace, self.OTHER, *extra)
+
+    def test_replay_of_a_record_with_other_keys_raises(self):
+        _theta, _trace, record = self._trace_and_record()
+        with pytest.raises(InvalidArgumentError, match="record keys do not match"):
+            replay_conditional(record, self.OTHER)
+
+    @pytest.mark.parametrize("v", [[1.0, 2.0], [[1.0, 2.0, 3.0]]], ids=["short", "matrix"])
+    def test_vjp_with_v_of_the_wrong_shape_raises(self, v):
+        theta, _trace, record = self._trace_and_record()
+        with pytest.raises(InvalidArgumentError, match="v has the wrong length"):
+            cond_jacobian_vjp(record, theta, v)
 
 
 class TestConditionalSampling:

@@ -7,6 +7,7 @@ import pytest
 
 from stochinv import (
     ControlVariate,
+    InvalidArgumentError,
     InvalidControlVariateError,
     InvalidParameterError,
     SpanningTree,
@@ -96,6 +97,31 @@ class TestExactIdentities:
         np.testing.assert_allclose(
             report.gradient.values, report.per_sample.mean(axis=0), atol=1e-15
         )
+
+
+class TestArgumentChecks:
+    def test_utility_score_with_other_keys_raises(self):
+        # A score was returned for utilities keyed unlike theta.
+        theta = ThetaVector.constant((0, 1, 2))
+        with pytest.raises(InvalidArgumentError, match="utility keys do not match theta"):
+            utility_score(theta, Utilities(("a", "b", "c"), [1.0, 1.0, 1.0]))
+
+    def test_control_variate_gradient_of_the_wrong_shape_raises(self):
+        cv = ControlVariate(lambda u: (0.0, np.zeros(len(u.keys) + 1)))
+        with pytest.raises(InvalidControlVariateError, match=r"shape \(4,\), expected \(3,\)"):
+            cv(Utilities((0, 1, 2), [1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "estimate, match",
+        [(lambda sdef, theta: grad_t_reinforce(sdef, theta, len, 0, 0), "n_samples"),
+         (lambda sdef, theta: grad_loo(sdef, theta, len, 2, "trace", 0, n_batches=0),
+          "n_batches")],
+        ids=["t_reinforce_no_samples", "loo_no_batches"],
+    )
+    def test_empty_budget_raises(self, estimate, match):
+        sdef = TopK(3, 1)
+        with pytest.raises(InvalidParameterError, match=f"{match} must be at least 1"):
+            estimate(sdef, ThetaVector.constant(sdef.key_labels))
 
 
 class TestControlVariates:

@@ -265,8 +265,39 @@ class TestTraceTable:
         lps = TraceTable(dist).log_probs(theta1)
         assert np.array_equal(lps, dense_log_probs(dist, theta1))
 
+    @pytest.mark.parametrize("keys", [("x", "y", "z"), (0, 1), (2, 1, 0)])
+    def test_theta_with_other_keys_raises(self, keys):
+        # Relabelled keys were scored as the enumeration's own, and another
+        # key count raised numpy's broadcast ValueError.
+        sdef = TopK(3, 1)
+        table = TraceTable(enumerate_distribution(sdef, seeded_theta(sdef, 12)))
+        other = ThetaVector(keys, np.linspace(0.1, 0.3, len(keys)))
+        with pytest.raises(InvalidArgumentError, match="theta keys"):
+            table.log_probs(other)
+        with pytest.raises(InvalidArgumentError, match="theta keys"):
+            table.expected(other, np.ones(table.n_traces))
+
+    def test_theta_masking_another_key_is_reweighted_under_the_enumeration_mask(self):
+        # The table's events are the enumeration's: it cannot see that a
+        # theta masking key 0 has another support, and scores the unmasked law.
+        sdef = TopK(3, 1)
+        theta = seeded_theta(sdef, 13)
+        dist = enumerate_distribution(sdef, theta)
+        masked = ThetaVector(sdef.key_labels, theta.theta, [True, False, False])
+        lps = TraceTable(dist).log_probs(masked)
+        assert np.array_equal(lps, TraceTable(dist).log_probs(theta))
+        assert math.fsum(np.exp(lps)) == pytest.approx(1.0)
+
 
 class TestExactGradient:
+    def test_theta_with_other_keys_raises(self):
+        sdef = TopK(3, 1)
+        theta = seeded_theta(sdef, 5)
+        dist = enumerate_distribution(sdef, theta)
+        other = ThetaVector(("x", "y", "z"), theta.theta)
+        with pytest.raises(InvalidArgumentError, match="keys do not match"):
+            exact_gradient(dist, sdef, other, lambda x: 1.0)
+
     def test_constant_loss_gives_zero(self):
         sdef = TopK(3, 2)
         theta = seeded_theta(sdef, 5)
@@ -429,6 +460,38 @@ class TestChiSquare:
         counts = {e.trace: round(n * e.prob) for e in dist.entries}
         stat, p = chi_square_fit(counts, dist)
         assert math.isfinite(stat) and 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("counts", [{}, "zeros"])
+    def test_no_observations_raise(self, counts):
+        sdef = TopK(3, 1)
+        dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+        if counts == "zeros":
+            counts = {e.trace: 0 for e in dist.entries}
+        with pytest.raises(InvalidArgumentError, match="no observations"):
+            chi_square_fit(counts, dist)
+
+    def test_pool_below_five_merges_into_the_smallest_cell(self):
+        sdef = TopK(3, 1)
+        dist = enumerate_distribution(sdef, ThetaVector(sdef.key_labels, [-2.0, -1.0, 2.0]))
+        observed = (140, 55, 5)
+        e0, e1, e2 = (sum(observed) * e.prob for e in dist.entries)
+        assert e0 > e1 >= 5.0 > e2  # cells 0 and 1 stand; cell 2 is the pool
+        counts = {e.trace: o for e, o in zip(dist.entries, observed)}
+        stat, p = chi_square_fit(counts, dist)
+        o0, o1, o2 = observed
+        assert stat == pytest.approx(
+            (o0 - e0) ** 2 / e0 + (o1 + o2 - e1 - e2) ** 2 / (e1 + e2), rel=1e-12
+        )
+        # One degree of freedom: the pool joined cell 1 rather than becoming a third.
+        assert p == pytest.approx(math.erfc(math.sqrt(stat / 2)), rel=1e-9)
+        assert 0.1 < p < 0.9
+
+    @pytest.mark.parametrize("sdef, n", [(TopK(3, 1), 3), (TopK(1, 1), 50)],
+                             ids=["one_pooled_cell", "one_trace"])
+    def test_fewer_than_two_cells_fit_perfectly(self, sdef, n):
+        dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+        counts = {dist.entries[0].trace: n}
+        assert chi_square_fit(counts, dist) == (0.0, 1.0)
 
 
 class TestKSExponential:

@@ -20,6 +20,7 @@ from stochinv import (
     Argsort,
     BinaryTree,
     InfeasibleGraphError,
+    InvalidArgumentError,
     InvalidParameterError,
     Matching,
     SpanningTree,
@@ -577,3 +578,14 @@ class TestHamming:
         b = TreeNode(0, None, TreeNode(1, None, TreeNode(2, None, None)))
         assert hamming_distance(a, a) == 0
         assert hamming_distance(a, b) > 0
+
+    def test_sequences_of_different_lengths_raise(self):
+        with pytest.raises(InvalidArgumentError, match="different length"):
+            hamming_distance((0, 1, 2), (0, 1))
+
+    @pytest.mark.parametrize("a, b, names", [([0, 1], [1, 0], "list and list"),
+                                             ((0, 1), frozenset({0, 1}), "tuple and frozenset"),
+                                             (None, None, "NoneType and NoneType")])
+    def test_values_that_cannot_be_compared_raise(self, a, b, names):
+        with pytest.raises(InvalidArgumentError, match=f"cannot compare values of types {names}"):
+            hamming_distance(a, b)
