@@ -458,17 +458,14 @@ def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
         if trace2 != trace:
             failures += 1
         cond_values[i] = e_cond.values
-    pvalues = {}
     rates = theta.rates()
-    for i, label in enumerate(sdef.key_labels):
-        key = _compact_json(label)
-        if theta.mask[i] or n < 100:
-            pvalues[key] = None
-        else:
-            _stat, p = oracle.ks_exponential(cond_values[:, i], rates[i])
-            pvalues[key] = p
     records = [{"field": "roundtrip_failures", "value": failures}]
-    records += ({"field": "ks_pvalue", "key": k, "value": p} for k, p in sorted(pvalues.items()))
+    for i, label in enumerate(sdef.key_labels):
+        p = None
+        if not theta.mask[i] and n >= 100:
+            _stat, p = oracle.ks_exponential(cond_values[:, i], rates[i])
+        records.append({"field": "ks_pvalue", "key": label, "value": p})
+    pvalues = {_compact_json(r["key"]): r["value"] for r in records[1:]}
     return _render(fmt, ("field", "key", "value"), records,
                    {"roundtrip_failures": failures, "per_key_ks_pvalues": pvalues})
 

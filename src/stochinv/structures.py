@@ -315,11 +315,11 @@ def parse_graph_file(path: str):
     """Parse the line-oriented graph format.
 
     Header ``graph <directed|undirected> <num_vertices>``, one ``u v`` edge
-    per line with 0-based ids, at most one ``root r`` line for directed
-    graphs.  Blank lines and ``#`` comments are ignored.  A file with fewer
-    than ``num_vertices - 1`` edges, which no spanning tree or arborescence
-    can use, is rejected before any work per vertex.  Returns (directed,
-    n_vertices, edges, root).
+    per line with 0-based ids (u != v if undirected), at most one ``root r``
+    line for directed graphs.  Blank lines and ``#`` comments are ignored.
+    A file with fewer than ``num_vertices - 1`` edges, which no spanning
+    tree or arborescence can use, is rejected before any work per vertex.
+    Returns (directed, n_vertices, edges, root).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -375,6 +375,8 @@ def parse_graph_file(path: str):
         for x in (u, v):
             if not 0 <= x < n_vertices:
                 raise ConfigError(f"{path}:{lineno}: vertex id {bounded_repr(x)} out of range")
+        if u == v and not directed:
+            raise ConfigError(f"{path}:{lineno}: self-loop on vertex {u}")
         key = (u, v) if directed else (min(u, v), max(u, v))
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate edge {bounded_repr((u, v))}")
@@ -407,12 +409,13 @@ class SpanningTree(_SetValued):
         self.vertices = tuple(sorted(set(vertices)))
         if not self.vertices:
             raise InvalidParameterError("need at least one vertex")
+        position = {x: i for i, x in enumerate(self.vertices)}
         seen = set()
         labels = []
         for u, v in edges:
             if u == v:
                 raise InvalidParameterError(f"self-loop on vertex {u!r}")
-            if u not in self.vertices or v not in self.vertices:
+            if u not in position or v not in position:
                 raise InvalidParameterError(f"edge ({u!r}, {v!r}) has unknown endpoint")
             edge = (u, v) if u <= v else (v, u)
             if edge in seen:
@@ -420,7 +423,6 @@ class SpanningTree(_SetValued):
             seen.add(edge)
             labels.append(edge)
         self.key_labels = tuple(sorted(labels))
-        position = {x: i for i, x in enumerate(self.vertices)}
         self._u = [position[u] for u, _ in self.key_labels]
         self._v = [position[v] for _, v in self.key_labels]
 
@@ -479,8 +481,6 @@ class SpanningTree(_SetValued):
             if ru == rv:
                 return _fail(f"edge ({u!r}, {v!r}) closes a cycle")
             roots[ru] = rv
-        if len({find(v) for v in vertices}) != 1:
-            return _fail("edges do not span all vertices")
         return _OK
 
 
@@ -502,23 +502,23 @@ class Arborescence(_SetValued):
     that a single edge enters the whole contracted loop.  So a super-node
     keeps its own winner exactly when no child edge has its head in it.
 
-    The auxiliary state is the tuple of super-nodes, each a frozenset of
-    vertices, ordered by smallest vertex; the root's super-node stays
-    ``{root}``, since no cycle passes through the root.  ``_tail``/``_head``
-    hold each edge's endpoint vertices.
+    The auxiliary state is the tuple of competing super-nodes, each a
+    frozenset of vertices, ordered by smallest vertex.  The root is in none
+    of them: no edge enters it and no cycle passes through it.
+    ``_tail``/``_head`` hold each edge's endpoint vertices.
     """
 
     kind = "arborescence"
 
     def __init__(self, vertices: Iterable, edges: Iterable, root):
-        self.vertices = tuple(sorted(set(vertices)))
-        if root not in self.vertices:
+        known = set(vertices)
+        if root not in known:
             raise InvalidParameterError(f"root {root!r} is not a vertex")
-        self.root = root
+        self.vertices, self.root = tuple(sorted(known)), root
         seen = set()
         labels = []
         for u, v in edges:
-            if u not in self.vertices or v not in self.vertices:
+            if u not in known or v not in known:
                 raise InvalidParameterError(f"edge ({u!r}, {v!r}) has unknown endpoint")
             if (u, v) in seen:
                 raise InvalidParameterError(f"duplicate edge ({u!r}, {v!r})")
@@ -546,16 +546,15 @@ class Arborescence(_SetValued):
         return cls(range(n_vertices), edges, root)
 
     def initial_state(self):
-        supernodes = tuple(frozenset((v,)) for v in self.vertices)
+        supernodes = tuple(frozenset((v,)) for v in self.vertices if v != self.root)
         return frozenset(range(len(self.key_labels))), supernodes
 
     def stop(self, K, R):
-        return not K or len(R) == 1
+        return not K
 
     def split(self, K, R):
-        targets = [S for S in R if self.root not in S]
-        slot = {v: i for i, S in enumerate(targets) for v in S}
-        buckets = [[] for _ in targets]
+        slot = {v: i for i, S in enumerate(R) for v in S}
+        buckets = [[] for _ in R]
         head = self._head
         for k in sorted(K):
             buckets[slot[head[k]]].append(k)
@@ -565,18 +564,17 @@ class Arborescence(_SetValued):
         """First winner-pointer cycle in canonical super-node order, as a
         list of indices into R.
 
-        Each non-root super-node points to the super-node holding its
-        winning edge's tail; the root has no pointer, so no cycle passes
-        through it.  The pointers are walked from each start in turn, each
-        super-node marked with the start that reached it first: a walk that
-        returns to its own mark has closed a cycle.
+        Each super-node points to the super-node holding its winning edge's
+        tail; a winner from the root gives no pointer, so no cycle passes
+        through the root.  The pointers are walked from each start in turn,
+        each super-node marked with the start that reached it first: a walk
+        that returns to its own mark has closed a cycle.
         """
         slot = {v: i for i, S in enumerate(R) for v in S}
-        nonroot = [i for i, S in enumerate(R) if self.root not in S]
         tail = self._tail
-        pointer = {i: slot[tail[w]] for i, w in zip(nonroot, winners)}
+        pointer = {i: slot[tail[w]] for i, w in enumerate(winners) if tail[w] in slot}
         mark = {}
-        for start in nonroot:
+        for start in range(len(R)):
             node = start
             while node in pointer and node not in mark:
                 mark[node] = start
@@ -610,11 +608,9 @@ class Arborescence(_SetValued):
 
     def combine(self, child, K, R, winners):
         labels = self.key_labels
-        if child is None:
-            return frozenset(labels[w] for w in winners)
+        child = child or frozenset()
         heads = {v for _u, v in child}
-        targets = (S for S in R if self.root not in S)
-        return child | {labels[w] for S, w in zip(targets, winners) if heads.isdisjoint(S)}
+        return child | {labels[w] for S, w in zip(R, winners) if heads.isdisjoint(S)}
 
     def decode_value(self, doc):
         return _edges_from_json(doc)

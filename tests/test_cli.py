@@ -154,6 +154,7 @@ class TestGraphFile:
             ("graph undirected 3\nroot 1\n", "2"),
             ("graph undirected 3\n0 1 5\n", "2"),
             ("graph directed 3\nroot 0\n0 1\nroot 1\n1 2\n", "4"),
+            ("graph undirected 3\n0 1\n1 1\n", "3"),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, text, fragment):
@@ -594,6 +595,15 @@ class TestCondcheckCommand:
         assert rows[:2] == [["field", "key", "value"], ["roundtrip_failures", "", "0"]]
         assert [row[:2] for row in rows[2:]] == [["ks_pvalue", k] for k in "012"]
         assert all(0.0 < float(row[2]) <= 1.0 for row in rows[2:])
+
+    def test_csv_rows_follow_key_order(self, tmp_path):
+        # Keys 10 and 11 sort between 1 and 2 as text.
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 12, "k": 2}, seed=1)
+        out = tmp_path / "cond.csv"
+        assert run_cli("condcheck", "--config", cfg, "-n", "5", "--format", "csv",
+                       "--out", str(out)) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [row[1] for row in rows[2:]] == [str(k) for k in range(12)]
 
     def test_round_trip_and_marginals(self, tmp_path):
         graph = write_graph(tmp_path, K4_UNDIRECTED)

@@ -437,7 +437,8 @@ def _ref_arborescence_map(sdef, K, R, winners):
     """Super-node pointers and contracted edges read from edge labels."""
     slot = {v: i for i, S in enumerate(R) for v in S}
     targets = [i for i, S in enumerate(R) if sdef.root not in S]
-    pointer = {i: slot[sdef.key_labels[w][0]] for i, w in zip(targets, winners)}
+    pointer = {i: slot[sdef.key_labels[w][0]] for i, w in zip(targets, winners)
+               if sdef.key_labels[w][0] != sdef.root}
     cycle = None
     done = set()
     for start in sorted(pointer):
