@@ -44,6 +44,7 @@ from .errors import (
     ConfigError,
     InfeasibleGraphError,
     InstanceTooLargeError,
+    InvalidControlVariateError,
     InvalidParameterError,
     StochinvError,
     as_float,
@@ -534,7 +535,7 @@ def main(argv=None) -> int:
         write_output(command.run(config, sdef, theta, streams, fmt, n), out, "out")
         return 0
     except (ConfigError, InvalidParameterError, InfeasibleGraphError,
-            InstanceTooLargeError) as exc:
+            InstanceTooLargeError, InvalidControlVariateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StochinvError as exc:

@@ -1,7 +1,8 @@
 """The generic subtract-the-minimum recursion and its probability companions.
 
-A structure definition supplies four utility-blind subroutines (``stop``,
-``split``, ``map``, ``combine``) plus an opaque auxiliary state.  Running the
+A structure definition supplies utility-blind subroutines (``split``,
+``map``, ``combine``; ``initial_state`` and ``stop`` default to every key
+and the empty key set) plus an opaque auxiliary state.  Running the
 recursion on exponential utilities produces a combinatorial value together
 with its *trace*: the ordered record of every per-partition argmin.  Because
 the subroutines never read utility values, the trace is a sufficient
@@ -22,9 +23,9 @@ Every walk of the recursion is the one depth-first walker ``_walks``.  A
 trace returned by ``run_struct`` carries its walk, so the others score or
 resample it under the same definition without walking again; a trace built
 any other way is validated by a walk that its recorded winners steer.
-Walking every branch, as enumeration does, meets the same states over and
-over, so that walk can keep a memo in which each distinct state is
-expanded once; and ``_SoftmaxRows`` lets ``trace_score`` reuse each
+``_leaves``, the search behind ``oracle``'s enumeration, walks every
+branch, scored by the same rules, with a memo in which each distinct state
+is expanded once; ``_SoftmaxRows`` lets ``trace_score`` reuse each
 partition's softmax across the traces scored under one theta.
 
 Winners are removed from play by marking their rate infinite (tracked as a
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -69,10 +71,9 @@ class StructureDefinition(ABC):
 
     ``split`` must return pairwise-disjoint nonempty tuples covering ``K``
     exactly, in an order that is deterministic given ``(K, R)``.  ``map``
-    must return a strictly smaller key set.  ``stop`` must be true on the
-    empty key set for every reachable auxiliary state.  Each state
-    ``(K, R)`` must be hashable: enumeration expands each distinct state
-    once.
+    must return a strictly smaller key set.  ``stop`` must be true at every
+    reachable state whose key set is empty.  Each state ``(K, R)`` must be
+    hashable: enumeration expands each distinct state once.
     """
 
     key_labels: tuple
@@ -81,13 +82,13 @@ class StructureDefinition(ABC):
     def n_keys(self) -> int:
         return len(self.key_labels)
 
-    @abstractmethod
     def initial_state(self):
-        """The root call's (key set, auxiliary state)."""
+        """The root call's (key set, auxiliary state); by default every key, no state."""
+        return frozenset(range(self.n_keys)), None
 
-    @abstractmethod
     def stop(self, K: frozenset, R) -> bool:
-        """Whether the recursion bottoms out at (K, R)."""
+        """Whether the recursion bottoms out at (K, R); by default on the empty key set."""
+        return not K
 
     @abstractmethod
     def split(self, K: frozenset, R) -> Sequence[tuple]:
@@ -260,6 +261,61 @@ def _walks(sdef: StructureDefinition, choose, memo=None):
                 state[2][winners] = child
         frames[-1] = (K, R, parts, winners)
         K, R = child
+
+
+def _leaves(sdef: StructureDefinition, theta: ThetaVector):
+    """Yield ``(walk, levels, events, logp)`` per leaf of ``sdef``'s trace
+    tree under ``theta``, depth first, expanding each distinct state once.
+    The walk's frames and the list of stochastic (winner, partition) events
+    are live: they change when the search resumes.  Each event adds
+    ``-theta_w - logsumexp`` as ``trace_log_prob`` adds it, each distinct
+    partition's logsumexp computed once, so ``logp`` equals it bit for bit.
+    """
+    _check_theta(sdef, theta)
+    neg_theta = (-theta.theta).tolist()
+    mask = theta.mask.tolist()
+    labels = sdef.key_labels
+    level_tuples, shared_events, lses = {}, {}, {}
+    # The open path's trace levels, stochastic events (whose winners are
+    # exactly the keys masked since the root) and log-probability.
+    levels, events, logp = [], [], 0.0
+
+    def branches(parts):
+        # A level's winner tuples, each with the path state set.  Partitions
+        # are disjoint, so the mask at the level's start decides which are forced.
+        nonlocal logp
+        choices, stochastic = [], []
+        for i, P in enumerate(parts):
+            forced = _forced_winner(P, mask, labels)
+            if forced is not None:
+                choices.append((forced,))
+                continue
+            choices.append(P)
+            if P not in lses:
+                lses[P] = _logsumexp_over(neg_theta, P)
+            stochastic.append((i, P, lses[P]))
+        start = logp
+        for winners in product(*choices):
+            lp = start
+            for i, P, lse in stochastic:
+                w = winners[i]
+                mask[w] = True
+                event = (w, P)
+                events.append(shared_events.setdefault(event, event))
+                lp += neg_theta[w] - lse
+            logp = lp
+            level = level_tuples.get(winners)
+            if level is None:
+                level = level_tuples[winners] = tuple(enumerate(winners))
+            levels.append(level)
+            yield winners
+            levels.pop()
+            for i, _P, _lse in stochastic:
+                mask[winners[i]] = False
+                events.pop()
+
+    for walk in _walks(sdef, branches, {}):
+        yield walk, tuple(levels), events, logp
 
 
 def _known_state(memo: dict, K: frozenset, R):

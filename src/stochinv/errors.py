@@ -49,7 +49,7 @@ class InstanceTooLargeError(StochinvError):
 
 
 class InvalidControlVariateError(StochinvError):
-    """A control variate failed its gradient self-test."""
+    """A control variate failed its gradient self-test or is not finite."""
 
 
 class ConfigError(StochinvError):

@@ -65,8 +65,9 @@ class EstimatorReport:
 class ControlVariate:
     """A baseline c(e) with an analytic gradient in utility space.
 
-    ``value_and_grad(utilities)`` must return (c(e), dc/de) with the
-    gradient aligned to the utility keys.  ``self_test`` compares the
+    ``value_and_grad(utilities)`` must return (c(e), dc/de), both finite,
+    with the gradient aligned to the utility keys; calling the object raises
+    InvalidControlVariateError otherwise.  ``self_test`` compares the
     gradient against central finite differences within ``SELF_TEST_TOLERANCE``;
     the conditional-reparameterization estimator runs it the first time it
     uses a control variate and sets ``self_tested`` once it passes, so each
@@ -79,12 +80,13 @@ class ControlVariate:
 
     def __call__(self, utilities: Utilities):
         value, grad = self.value_and_grad(utilities)
-        grad = np.asarray(grad, dtype=np.float64)
+        value, grad = float(value), np.asarray(grad, dtype=np.float64)
         if grad.shape != (len(utilities.keys),):
             raise InvalidControlVariateError(
-                f"gradient has shape {grad.shape}, expected ({len(utilities.keys)},)"
-            )
-        return float(value), grad
+                f"gradient has shape {grad.shape}, expected ({len(utilities.keys)},)")
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
+            raise InvalidControlVariateError("control variate value or gradient is not finite")
+        return value, grad
 
     def self_test(self, utilities: Utilities) -> bool:
         """Check the gradient by central differences.
@@ -104,7 +106,7 @@ class ControlVariate:
             v_up, _ = self(Utilities(utilities.keys, up))
             v_down, _ = self(Utilities(utilities.keys, down))
             fd = (v_up - v_down) / (up[i] - down[i])
-            if abs(fd - grad[i]) > SELF_TEST_TOLERANCE * (1.0 + abs(grad[i])):
+            if not abs(fd - grad[i]) <= SELF_TEST_TOLERANCE * (1.0 + abs(grad[i])):
                 return False
         return True
 
@@ -115,7 +117,8 @@ def quadratic_control_variate(coeffs) -> ControlVariate:
 
     def value_and_grad(utilities: Utilities):
         e = utilities.values
-        return float(coeffs @ (e * e)), 2.0 * coeffs * e
+        with np.errstate(over="ignore", invalid="ignore"):  # __call__ rejects inf and NaN
+            return float(coeffs @ (e * e)), 2.0 * coeffs * e
 
     return ControlVariate(value_and_grad)
 

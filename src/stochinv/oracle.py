@@ -3,16 +3,13 @@
 Enumerating every trace of a definition gives the exact distribution: the
 recursion's control flow is replayed, but instead of taking argmins each
 stochastic event branches over every key of its partition with the
-categorical probability the rates imply (deterministic events take their
-forced branch, by the masked-key rule ``core`` applies when scoring).  The
-search is ``core._walks``, the one walk of the recursion, given every
-branch of each level and a fresh memo, so each distinct state is stopped,
-split and mapped once however many traces pass through it; each leaf's
+categorical probability the rates imply.  The search is ``core._leaves``,
+which scores each branch by ``core``'s own rules and stops, splits and maps
+each distinct state once however many traces pass through it; each leaf's
 frames fold with ``core``'s fold.  Everything downstream (exact expected
 losses, exact gradients, goodness-of-fit tests) reduces to sums over the
 enumerated support; ``exact_gradient`` runs the same search again in step
-with the entries, which checks them and gives ``trace_score`` each leaf's
-walk and one table of softmax rows for all of them.
+with the entries, which checks them and lends ``trace_score`` their walks.
 
 Traces far outnumber the distinct objects they are made of (Matching(5) has
 14400 traces but 120 structures), so one enumeration shares immutable
@@ -24,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product, zip_longest
+from itertools import zip_longest
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,11 +31,8 @@ from .core import (
     Trace,
     _SoftmaxRows,
     _carrying,
-    _check_theta,
     _fold,
-    _forced_winner,
-    _logsumexp_over,
-    _walks,
+    _leaves,
     trace_score,
 )
 from .errors import (
@@ -85,62 +79,6 @@ class EnumeratedDistribution:
         return math.fsum(entry.prob for entry in self.entries)
 
 
-def _leaves(sdef: StructureDefinition, theta: ThetaVector):
-    """Yield ``(walk, levels, events, logp)`` per leaf of ``sdef``'s trace
-    tree under ``theta``, depth first.  The walk's frames and the list of
-    stochastic (winner, partition) events are live: they change when the
-    search resumes.  The walk expands each distinct state once, through a
-    memo of this search.  Each distinct partition's logsumexp is computed
-    once, by ``core``'s helper, and each event adds ``-theta_w - logsumexp``
-    as ``trace_log_prob`` adds it, so ``logp`` equals it bit for bit.
-    """
-    _check_theta(sdef, theta)
-    neg_theta = (-theta.theta).tolist()
-    mask = theta.mask.tolist()
-    labels = sdef.key_labels
-    level_tuples, shared_events, lses = {}, {}, {}
-    # The open path's trace levels, stochastic events (whose winners are
-    # exactly the keys masked since the root) and log-probability.
-    levels, events, logp = [], [], 0.0
-
-    def branches(parts):
-        # A level's winner tuples, each with the path state set.  Partitions
-        # are disjoint, so the mask at the level's start decides which are forced.
-        nonlocal logp
-        choices, stochastic = [], []
-        for i, P in enumerate(parts):
-            forced = _forced_winner(P, mask, labels)
-            if forced is not None:
-                choices.append((forced,))
-                continue
-            choices.append(P)
-            if P not in lses:
-                lses[P] = _logsumexp_over(neg_theta, P)
-            stochastic.append((i, P, lses[P]))
-        start = logp
-        for winners in product(*choices):
-            lp = start
-            for i, P, lse in stochastic:
-                w = winners[i]
-                mask[w] = True
-                event = (w, P)
-                events.append(shared_events.setdefault(event, event))
-                lp += neg_theta[w] - lse
-            logp = lp
-            level = level_tuples.get(winners)
-            if level is None:
-                level = level_tuples[winners] = tuple(enumerate(winners))
-            levels.append(level)
-            yield winners
-            levels.pop()
-            for i, _P, _lse in stochastic:
-                mask[winners[i]] = False
-                events.pop()
-
-    for walk in _walks(sdef, branches, {}):
-        yield walk, tuple(levels), events, logp
-
-
 def enumerate_distribution(
     sdef: StructureDefinition,
     theta: ThetaVector,
@@ -180,9 +118,8 @@ def exact_gradient(
     distribution must be the enumeration of ``sdef`` under this theta: the
     search is walked again in step with its entries, raising
     InvalidTraceError where an entry's levels or log-probability or the
-    number of entries differ.  ``trace_score`` reads each leaf's walk
-    instead of walking, and one ``_SoftmaxRows`` for the call instead of
-    each partition's softmax per trace.  A non-finite loss raises
+    number of entries differ.  ``trace_score`` reads each leaf's walk and
+    one ``_SoftmaxRows`` for the call.  A non-finite loss raises
     InvalidArgumentError, as in the estimators.
     """
     if dist.key_labels != theta.keys:
@@ -253,8 +190,11 @@ class TraceTable:
         ).astype(np.float64, copy=False)
 
     def expected(self, theta: ThetaVector, per_trace_values) -> float:
-        probs = np.exp(self.log_probs(theta))
-        return float(probs @ np.asarray(per_trace_values, dtype=np.float64))
+        values = np.asarray(per_trace_values, dtype=np.float64)
+        if values.shape != (self.n_traces,):
+            raise InvalidArgumentError(
+                f"per_trace_values has shape {values.shape}, expected ({self.n_traces},)")
+        return float(np.exp(self.log_probs(theta)) @ values)
 
 
 def chi_square_fit(observed_counts: Mapping, dist: EnumeratedDistribution):

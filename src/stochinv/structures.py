@@ -2,9 +2,11 @@
 
 Each class realizes one greedy recursion over the shared interface in
 ``core``: repeatedly take per-partition minima of the perturbed input and
-shrink the problem.  All of them have the property that the recursion's
-inputs stay independent exponentials given the winners so far, which is
-what makes their trace probabilities exact.
+shrink the problem.  Each writes its own ``split``, ``map`` and ``combine``,
+and inherits the root (every key, no auxiliary state) and the base case
+(stop on the empty key set) unless its own differ.  All of them have the
+property that the recursion's inputs stay independent exponentials given
+the winners so far, which is what makes their trace probabilities exact.
 
 Keys are dense integers internally; ``key_labels`` carries the
 caller-facing names (item indices, matrix cells, edge tuples).  Structure
@@ -103,7 +105,7 @@ class TopK(_SetValued):
         return frozenset(range(self.d)), self.k
 
     def stop(self, K, R):
-        return R == 0 or not K
+        return R == 0
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -145,12 +147,6 @@ class Argsort(StructureDefinition):
     def from_config(cls, spec):
         return cls(as_int(spec["d"], "structure.d"))
 
-    def initial_state(self):
-        return frozenset(range(self.d)), None
-
-    def stop(self, K, R):
-        return not K
-
     def split(self, K, R):
         return [tuple(sorted(K))]
 
@@ -189,12 +185,6 @@ class Matching(_SetValued):
     @classmethod
     def from_config(cls, spec):
         return cls(as_int(spec["n"], "structure.n"))
-
-    def initial_state(self):
-        return frozenset(range(self.n * self.n)), None
-
-    def stop(self, K, R):
-        return not K
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -245,9 +235,6 @@ class BinaryTree(StructureDefinition):
 
     def initial_state(self):
         return frozenset(range(self.n)), ((0, self.n - 1),)
-
-    def stop(self, K, R):
-        return not K
 
     def split(self, K, R):
         return [tuple(range(lo, hi + 1)) for lo, hi in R]
@@ -549,9 +536,6 @@ class Arborescence(_SetValued):
         supernodes = tuple(frozenset((v,)) for v in self.vertices if v != self.root)
         return frozenset(range(len(self.key_labels))), supernodes
 
-    def stop(self, K, R):
-        return not K
-
     def split(self, K, R):
         slot = {v: i for i, S in enumerate(R) for v in S}
         buckets = [[] for _ in R]
@@ -647,7 +631,6 @@ KINDS = {
     cls.kind: cls
     for cls in (TopK, Argsort, Matching, BinaryTree, SpanningTree, Arborescence)
 }
-
 
 
 def _tree_links(tree) -> frozenset:

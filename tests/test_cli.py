@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -242,6 +243,31 @@ class TestEnumerateCommand:
         )
         assert run_cli("enumerate", "--config", cfg) == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_failed_write_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=0)
+        assert run_cli("enumerate", "--config", cfg, "--out", "/dev/full") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write out /dev/full: [Errno 28]")
+
+    def test_unnormalized_enumeration_is_exit_1(self, tmp_path, monkeypatch, capsys):
+        enumerate_distribution = oracle.enumerate_distribution
+
+        def halved(*args):
+            dist = enumerate_distribution(*args)
+            entries = tuple(dataclasses.replace(e, prob=e.prob / 2) for e in dist.entries)
+            return dataclasses.replace(dist, entries=entries)
+
+        monkeypatch.setattr(oracle, "enumerate_distribution", halved)
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=0)
+        assert run_cli("enumerate", "--config", cfg) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: enumerated probabilities sum to 0.5, expected 1 within 1e-9\n"
+        )
 
     def test_csv_format(self, tmp_path):
         cfg = write_config(
@@ -1318,6 +1344,22 @@ def test_masked_key_at_minus_800_leaves_stderr_empty(tmp_path):
         )
         assert (done.returncode, done.stderr) == (0, ""), argv
         assert done.stdout
+
+
+def test_overflowing_control_variate_is_exit_2_with_one_line(tmp_path):
+    # A coefficient of 1e308 overflowed the quadratic: numpy printed four
+    # RuntimeWarnings and the rows were NaN, with exit 0.  A separate
+    # process shows stderr as a user sees it.
+    cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=0,
+                       n_samples=8, estimators=[{"kind": "relax", "control_variate":
+                                                 {"kind": "quadratic", "coeff": 1e308}}])
+    src = str(Path(stochinv.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "stochinv.cli", "variance", "--config", cfg],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: control variate value or gradient is not finite\n"
 
 
 def test_readme_lists_every_command():

@@ -169,6 +169,26 @@ class TestControlVariates:
             with pytest.raises(InvalidControlVariateError):
                 grad_relax(sdef, theta, lambda x: 0.0, bad, seed)
 
+    @pytest.mark.parametrize("cv", [
+        ControlVariate(lambda u: (0.0, np.full(len(u.keys), np.nan))),
+        ControlVariate(lambda u: (np.nan, np.zeros(len(u.keys)))),
+        ControlVariate(lambda u: (np.inf, np.zeros(len(u.keys)))),
+        quadratic_control_variate(np.full(4, 1e308)),
+    ], ids=["nan_gradient", "nan_value", "inf_value", "overflowing_quadratic"])
+    def test_non_finite_control_variate_raises(self, cv):
+        # NaN compared false against the tolerance: the self-test passed
+        # and grad_relax returned an all-NaN gradient.
+        sdef = TopK(4, 1)
+        theta = seeded_theta(sdef, 6)
+        e = sample_utilities(theta, np.random.default_rng(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidControlVariateError, match="not finite"):
+                cv.self_test(e)
+            with pytest.raises(InvalidControlVariateError, match="not finite"):
+                grad_relax(sdef, theta, lambda x: 0.0, cv, 2, n_samples=4)
+        assert not cv.self_tested
+
     @pytest.mark.parametrize("scale", [1.0, 1e13])
     def test_self_test_resolves_large_utilities(self, scale):
         # An absolute step vanishes next to 1e13: the difference was 0/0,

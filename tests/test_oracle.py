@@ -224,6 +224,18 @@ class TestTraceTable:
         tilted = theta0.replace(np.array([-20.0, 0.0, 0.0]))
         assert table.expected(tilted, losses) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("values, shape", [
+        ([1.0, 0.0], "(2,)"), ([[1.0], [0.0], [0.0]], "(3, 1)"),
+    ], ids=["short", "column"])
+    def test_expected_names_both_lengths(self, values, shape):
+        # numpy's matmul ValueError and TypeError escaped instead.
+        sdef = TopK(3, 1)
+        theta = ThetaVector.constant(sdef.key_labels)
+        table = TraceTable(enumerate_distribution(sdef, theta))
+        with pytest.raises(InvalidArgumentError) as info:
+            table.expected(theta, values)
+        assert str(info.value) == f"per_trace_values has shape {shape}, expected (3,)"
+
     def test_one_member_row_per_distinct_partition(self):
         for name, sdef in representative_instances():
             dist = enumerate_distribution(sdef, seeded_theta(sdef, 7))

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochinv import (
+    InvalidArgumentError,
     InvalidParameterError,
+    KeyedVector,
     ThetaVector,
     ks_exponential,
     sample_utilities,
@@ -31,6 +33,16 @@ class TestThetaVector:
         theta = ThetaVector(("a", "b"), [0.0, np.nan], [False, True])
         assert theta.mask[1]
 
+    @pytest.mark.parametrize("theta, mask, message", [
+        ([0.0], None, r"expected 2 theta values, got shape \(1,\)"),
+        ([[0.0, 0.0]], None, r"expected 2 theta values, got shape \(1, 2\)"),
+        ([0.0, 0.0], [False], "mask shape does not match theta"),
+        ([0.0, 0.0], [[False, False]], "mask shape does not match theta"),
+    ], ids=["short_theta", "row_theta", "short_mask", "row_mask"])
+    def test_wrong_shape_is_named(self, theta, mask, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            ThetaVector(("a", "b"), theta, mask)
+
     def test_replace_keeps_mask(self):
         theta = ThetaVector(("a", "b"), [0.0, 0.0], [False, True])
         new = theta.replace([1.0, 2.0])
@@ -47,6 +59,17 @@ class TestThetaVector:
         expected = [math.exp(-0.5), 0.0, math.exp(3.0), 0.0]
         assert rates.dtype == np.float64 and rates.tolist() == expected
         assert ThetaVector((), []).rates().dtype == np.float64
+
+
+class TestKeyedVector:
+    @pytest.mark.parametrize("cls", [KeyedVector, Utilities])
+    @pytest.mark.parametrize("values, shape", [
+        ([1.0], "(1,)"), ([1.0, 2.0, 3.0], "(3,)"), ([[1.0, 2.0]], "(1, 2)"),
+    ], ids=["short", "long", "row"])
+    def test_wrong_shape_is_named(self, cls, values, shape):
+        with pytest.raises(InvalidArgumentError) as info:
+            cls(("a", "b"), values)
+        assert str(info.value) == f"expected 2 values, got shape {shape}"
 
 
 class TestUtilities:

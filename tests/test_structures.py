@@ -240,6 +240,15 @@ class TestSpanningTree:
         with pytest.raises(InvalidParameterError):
             SpanningTree(range(3), [(0, 1), (1, 0)])
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        ((), [], "need at least one vertex"),
+        (range(3), [(0, 1), (1, 1)], "self-loop on vertex 1"),
+        (range(3), [(0, 1), (1, 5)], r"edge \(1, 5\) has unknown endpoint"),
+    ], ids=["no_vertices", "self_loop", "unknown_endpoint"])
+    def test_malformed_graph_is_named(self, vertices, edges, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            SpanningTree(vertices, edges)
+
     def test_matches_exhaustive_minimum(self):
         vertices = tuple(range(4))
         edges = complete_graph(4)
@@ -267,6 +276,14 @@ class TestArborescence:
     def test_missing_incoming_edge_raises(self):
         with pytest.raises(InfeasibleGraphError):
             Arborescence([0, 1, 2], [(0, 1)], 0)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (1, 5)], r"edge \(1, 5\) has unknown endpoint"),
+        ([(0, 1), (0, 2), (0, 1)], r"duplicate edge \(0, 1\)"),
+    ], ids=["unknown_endpoint", "duplicate_edge"])
+    def test_malformed_graph_is_named(self, edges, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            Arborescence(range(3), edges, 0)
 
     @pytest.mark.parametrize("n, edges, levels", [
         (3, [(1, 2), (2, 1)], (((0, 1), (1, 0)),)),
@@ -425,9 +442,9 @@ def _ref_spanning_tree_map(sdef, K, roots, winners):
 
 def _ref_arborescence_split(sdef, K, R):
     """Buckets by the head vertex read from each edge label."""
-    targets = [S for S in R if sdef.root not in S]
-    slot = {v: i for i, S in enumerate(targets) for v in S}
-    buckets = [[] for _ in targets]
+    assert all(sdef.root not in S for S in R)
+    slot = {v: i for i, S in enumerate(R) for v in S}
+    buckets = [[] for _ in R]
     for k in sorted(K):
         buckets[slot[sdef.key_labels[k][1]]].append(k)
     return [tuple(b) for b in buckets]
@@ -435,9 +452,9 @@ def _ref_arborescence_split(sdef, K, R):
 
 def _ref_arborescence_map(sdef, K, R, winners):
     """Super-node pointers and contracted edges read from edge labels."""
+    assert all(sdef.root not in S for S in R)
     slot = {v: i for i, S in enumerate(R) for v in S}
-    targets = [i for i, S in enumerate(R) if sdef.root not in S]
-    pointer = {i: slot[sdef.key_labels[w][0]] for i, w in zip(targets, winners)
+    pointer = {i: slot[sdef.key_labels[w][0]] for i, w in enumerate(winners)
                if sdef.key_labels[w][0] != sdef.root}
     cycle = None
     done = set()
