@@ -6,10 +6,10 @@ share: it loads the config, reads the shared fields (seed, out, format,
 -n), builds the structure, spawns the seed streams and builds theta
 (rejecting an unmasked |theta| above ``THETA_LIMIT``), then calls the
 command named in ``COMMANDS`` and writes the text it returns.
-Every input is checked before a command does any work, output paths
-included: ``out`` in ``main``, and ``fit.theta_out`` or the theta file
-next to ``out`` in ``cmd_fit``, must name a file in an existing
-directory (``as_output_path``).
+Every input is checked before a command does any work: a graph with no
+structure of its kind fails in ``build_structure``, and ``out`` in
+``main`` and ``fit.theta_out`` or the theta file next to ``out`` in
+``cmd_fit`` must name a file in an existing directory (``as_output_path``).
 Config sections are read through ``_object``, paths through ``as_path``
 and JSON files through ``_read_json``; a config value quoted in an error
 goes through ``bounded_repr``.  ``max_traces`` is the enumeration cap.
@@ -336,8 +336,11 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     loss = hamming_loss(sdef, fit)
     header = ("estimator", "coordinate", "mean", "variance", "stderr")
     records = []
-    for spec, runner in zip(specs, runners):
-        report = runner(sdef, theta, loss, rng=np.random.default_rng(streams[0]))
+    for i, (spec, runner) in enumerate(zip(specs, runners)):
+        try:
+            report = runner(sdef, theta, loss, rng=np.random.default_rng(streams[0]))
+        except InvalidControlVariateError as exc:
+            raise ConfigError(f"estimators[{i}].control_variate: {exc}") from exc
         per = report.per_sample
         n_rows = per.shape[0]
         mean = per.mean(axis=0)
@@ -436,7 +439,10 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
             records.append(dict(zip(header, (it, exp_loss, stderr, 0.0))))
             break
         # spawn keys children by a running index: this is spawn(iterations)[it].
-        report = runner(sdef, current, loss, rng=np.random.default_rng(work_ss.spawn(1)[0]))
+        try:
+            report = runner(sdef, current, loss, rng=np.random.default_rng(work_ss.spawn(1)[0]))
+        except InvalidControlVariateError as exc:
+            raise ConfigError(f"estimator.control_variate: {exc}") from exc
         grad = report.gradient.values
         records.append(dict(zip(header, (it, exp_loss, stderr, float(np.linalg.norm(grad))))))
         values = optimizer.update(values, grad)
@@ -534,8 +540,7 @@ def main(argv=None) -> int:
         check_theta_limit(sdef.key_labels, theta.theta, theta.mask)
         write_output(command.run(config, sdef, theta, streams, fmt, n), out, "out")
         return 0
-    except (ConfigError, InvalidParameterError, InfeasibleGraphError,
-            InstanceTooLargeError, InvalidControlVariateError) as exc:
+    except (ConfigError, InvalidParameterError, InfeasibleGraphError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StochinvError as exc:

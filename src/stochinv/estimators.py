@@ -117,6 +117,8 @@ def quadratic_control_variate(coeffs) -> ControlVariate:
 
     def value_and_grad(utilities: Utilities):
         e = utilities.values
+        if e.shape != coeffs.shape:
+            raise InvalidArgumentError(f"{coeffs.size} coefficients for {e.size} utilities")
         with np.errstate(over="ignore", invalid="ignore"):  # __call__ rejects inf and NaN
             return float(coeffs @ (e * e)), 2.0 * coeffs * e
 

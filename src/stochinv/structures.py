@@ -4,9 +4,10 @@ Each class realizes one greedy recursion over the shared interface in
 ``core``: repeatedly take per-partition minima of the perturbed input and
 shrink the problem.  Each writes its own ``split``, ``map`` and ``combine``,
 and inherits the root (every key, no auxiliary state) and the base case
-(stop on the empty key set) unless its own differ.  All of them have the
-property that the recursion's inputs stay independent exponentials given
-the winners so far, which is what makes their trace probabilities exact.
+(stop on the empty key set) unless its own differ.  A graph kind rejects
+an infeasible graph when it is built.  All of them have the property that
+the recursion's inputs stay independent exponentials given the winners so
+far, which is what makes their trace probabilities exact.
 
 Keys are dense integers internally; ``key_labels`` carries the
 caller-facing names (item indices, matrix cells, edge tuples).  Structure
@@ -293,6 +294,20 @@ def _tree_nodes_inorder(tree) -> list:
     return out
 
 
+def _reached(root, edges) -> set:
+    """The vertices that the directed ``edges`` reach from ``root``."""
+    out = {}
+    for u, v in edges:
+        out.setdefault(u, []).append(v)
+    reached, frontier = {root}, [root]
+    while frontier:
+        for v in out.get(frontier.pop(), ()):
+            if v not in reached:
+                reached.add(v)
+                frontier.append(v)
+    return reached
+
+
 def _graph_of(spec):
     """Parse the graph file a config spec names in ``structure.graph``."""
     return parse_graph_file(as_path(spec["graph"], "structure.graph"))
@@ -363,7 +378,7 @@ def parse_graph_file(path: str):
             if not 0 <= x < n_vertices:
                 raise ConfigError(f"{path}:{lineno}: vertex id {bounded_repr(x)} out of range")
         if u == v and not directed:
-            raise ConfigError(f"{path}:{lineno}: self-loop on vertex {u}")
+            raise ConfigError(f"{path}:{lineno}: self-loop on vertex {bounded_repr(u)}")
         key = (u, v) if directed else (min(u, v), max(u, v))
         if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate edge {bounded_repr((u, v))}")
@@ -378,16 +393,16 @@ def parse_graph_file(path: str):
 
 
 class SpanningTree(_SetValued):
-    """A spanning tree of an undirected graph, grown greedily edge by edge.
+    """A spanning tree of a connected undirected graph, grown greedily
+    edge by edge; a disconnected graph is rejected when it is built.
 
-    The auxiliary state is ``(labels, count)``: ``labels[i]`` is the
-    component label of the vertex at position ``i`` of ``vertices`` (the
-    position of the component's smallest vertex) and ``count`` is the
-    number of components.  The minimum surviving edge merges two
-    components under the smaller label; edges that become internal
-    disappear.  ``_u``/``_v`` hold each edge's endpoint positions.  A
-    partition that empties while several components remain means the
-    graph was disconnected.
+    The auxiliary state is the tuple of component labels: ``R[i]`` is the
+    label of the vertex at position ``i`` of ``vertices`` (the position of
+    the component's smallest vertex).  The minimum surviving edge merges
+    two components under the smaller label; edges that become internal
+    disappear.  On a connected graph the key set empties exactly when one
+    component is left, so the inherited base case ends the recursion.
+    ``_u``/``_v`` hold each edge's endpoint positions.
     """
 
     kind = "spanning_tree"
@@ -401,14 +416,19 @@ class SpanningTree(_SetValued):
         labels = []
         for u, v in edges:
             if u == v:
-                raise InvalidParameterError(f"self-loop on vertex {u!r}")
+                raise InvalidParameterError(f"self-loop on vertex {bounded_repr(u)}")
             if u not in position or v not in position:
-                raise InvalidParameterError(f"edge ({u!r}, {v!r}) has unknown endpoint")
+                raise InvalidParameterError(f"edge {bounded_repr((u, v))} has unknown endpoint")
             edge = (u, v) if u <= v else (v, u)
             if edge in seen:
-                raise InvalidParameterError(f"duplicate edge {edge!r}")
+                raise InvalidParameterError(f"duplicate edge {bounded_repr(edge)}")
             seen.add(edge)
             labels.append(edge)
+        reached = _reached(self.vertices[0], labels + [(v, u) for u, v in labels])
+        apart = [x for x in self.vertices if x not in reached]
+        if apart:
+            raise InfeasibleGraphError(f"graph is disconnected: vertices {bounded_repr(apart)} are "
+                                       f"not connected to vertex {bounded_repr(self.vertices[0])}")
         self.key_labels = tuple(sorted(labels))
         self._u = [position[u] for u, _ in self.key_labels]
         self._v = [position[v] for _, v in self.key_labels]
@@ -421,27 +441,18 @@ class SpanningTree(_SetValued):
         return cls(range(n_vertices), edges)
 
     def initial_state(self):
-        n = len(self.vertices)
-        return frozenset(range(len(self.key_labels))), (tuple(range(n)), n)
-
-    def stop(self, K, R):
-        return R[1] <= 1
+        return frozenset(range(len(self.key_labels))), tuple(range(len(self.vertices)))
 
     def split(self, K, R):
-        if not K:
-            raise InfeasibleGraphError(
-                f"graph is disconnected: {R[1]} components remain and no edge joins them"
-            )
         return [tuple(sorted(K))]
 
     def map(self, K, R, winners):
-        labels, count = R
         u, v = self._u, self._v
-        a, b = labels[u[winners[0]]], labels[v[winners[0]]]
+        a, b = R[u[winners[0]]], R[v[winners[0]]]
         merged, dropped = min(a, b), max(a, b)
-        new = tuple([merged if x == dropped else x for x in labels])
+        new = tuple([merged if x == dropped else x for x in R])
         keep = frozenset([k for k in K if new[u[k]] != new[v[k]]])
-        return keep, (new, count - 1)
+        return keep, new
 
     def combine(self, child, K, R, winners):
         return (child or frozenset()) | {self.key_labels[winners[0]]}
@@ -480,8 +491,8 @@ class Arborescence(_SetValued):
     its internal edges drop out, and the recursion resolves the smaller
     graph.  Winners that survive a contraction keep their utility at
     exactly 0, so they win again deterministically until the recursion
-    unwinds.  A contraction that leaves no edge to enter the loop is
-    infeasible, and ``map`` says so.
+    unwinds.  As the constructor checks that the root reaches every vertex,
+    some edge from outside enters each contracted loop and is still a key.
 
     Expansion reads only the child's heads.  The deepest level's winners
     are the tree.  Above it, the child is an arborescence of the contracted
@@ -500,15 +511,15 @@ class Arborescence(_SetValued):
     def __init__(self, vertices: Iterable, edges: Iterable, root):
         known = set(vertices)
         if root not in known:
-            raise InvalidParameterError(f"root {root!r} is not a vertex")
+            raise InvalidParameterError(f"root {bounded_repr(root)} is not a vertex")
         self.vertices, self.root = tuple(sorted(known)), root
         seen = set()
         labels = []
         for u, v in edges:
             if u not in known or v not in known:
-                raise InvalidParameterError(f"edge ({u!r}, {v!r}) has unknown endpoint")
+                raise InvalidParameterError(f"edge {bounded_repr((u, v))} has unknown endpoint")
             if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate edge ({u!r}, {v!r})")
+                raise InvalidParameterError(f"duplicate edge {bounded_repr((u, v))}")
             seen.add((u, v))
             if v == root or u == v:
                 continue  # can never join an arborescence
@@ -516,10 +527,11 @@ class Arborescence(_SetValued):
         self.key_labels = tuple(sorted(labels))
         self._tail = [u for u, _ in self.key_labels]
         self._head = [v for _, v in self.key_labels]
-        heads = set(self._head)
-        for v in self.vertices:
-            if v != root and v not in heads:
-                raise InfeasibleGraphError(f"vertex {v!r} has no incoming edges")
+        reached = _reached(root, self.key_labels)
+        unreachable = [v for v in self.vertices if v not in reached]
+        if unreachable:
+            raise InfeasibleGraphError(f"vertices {bounded_repr(unreachable)} are unreachable "
+                                       f"from root {bounded_repr(root)}")
 
     @classmethod
     def from_config(cls, spec):
@@ -579,11 +591,6 @@ class Arborescence(_SetValued):
         keep = frozenset([
             k for k in K if not (tail[k] in loop_vertices and head[k] in loop_vertices)
         ])
-        if not any(head[k] in loop_vertices for k in keep):
-            # Only the new loop can lose every entering edge: just its own go.
-            raise InfeasibleGraphError(
-                f"no surviving edge enters the vertex group {sorted(loop_vertices)!r}"
-            )
         in_cycle = set(cycle)
         merged = [S for i, S in enumerate(R) if i not in in_cycle]
         merged.append(loop_vertices)
@@ -611,17 +618,7 @@ class Arborescence(_SetValued):
         for v in vertices:
             if v != root and indeg[v] != 1:
                 return _fail(f"vertex {v!r} has in-degree {indeg[v]}, expected 1")
-        children = {}
-        for u, v in value:
-            children.setdefault(u, []).append(v)
-        reached = {root}
-        frontier = [root]
-        while frontier:
-            u = frontier.pop()
-            for v in children.get(u, ()):
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
+        reached = _reached(root, value)
         if reached != set(vertices):
             return _fail(f"vertices {set(vertices) - reached!r} unreachable from the root")
         return _OK
@@ -656,7 +653,7 @@ def hamming_distance(a, b) -> int:
     """
     if isinstance(a, TreeNode) and isinstance(b, TreeNode):
         return len(_tree_links(a) ^ _tree_links(b))
-    if isinstance(a, frozenset) or isinstance(a, set):
+    if isinstance(a, (frozenset, set)) and isinstance(b, (frozenset, set)):
         return len(frozenset(a) ^ frozenset(b))
     if isinstance(a, tuple) and isinstance(b, tuple):
         if len(a) != len(b):

@@ -204,6 +204,44 @@ class TestGraphFile:
         assert len(lines) == 1 and lines[0].startswith("error: graph.txt:")
         assert len(lines[0]) <= 200
 
+    @pytest.mark.parametrize(
+        "structure, text",
+        [
+            ({"kind": "arborescence", "root": BIG}, "graph directed 3\n0 1\n0 2\n"),
+            ({"kind": "spanning_tree"}, f"graph undirected 1{BIG}\n{BIG} {BIG}\n"),
+        ],
+        ids=["config_root", "self_loop"],
+    )
+    def test_long_number_is_cut_in_a_vertex_error(self, tmp_path, capsys, structure, text):
+        # A 4000-digit config root went into the constructor's message
+        # whole: one stderr line of 4028 characters.
+        graph = write_graph(tmp_path, text)
+        cfg = write_config(tmp_path, structure={**structure, "graph": graph}, seed=0)
+        assert run_cli("enumerate", "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 200
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("spanning_tree", "graph undirected 4\n0 1\n1 2\n0 2\n",
+             "graph is disconnected: vertices [3] are not connected to vertex 0"),
+            ("arborescence", "graph directed 4\n0 1\n2 3\n3 2\nroot 0\n",
+             "vertices [2, 3] are unreachable from root 0"),
+        ],
+        ids=["disconnected", "unreachable_loop"],
+    )
+    def test_infeasible_graph_is_exit_2_before_any_draw(self, tmp_path, monkeypatch, capsys,
+                                                        kind, text, message):
+        # The recursion found the graph infeasible only after three million
+        # rows of utilities were drawn, at 173 MB peak.
+        monkeypatch.setattr(cli, "sample_utilities_matrix", lambda *a, **k: pytest.fail(
+            "utilities were drawn for an infeasible graph"))
+        graph = write_graph(tmp_path, text)
+        cfg = write_config(tmp_path, structure={"kind": kind, "graph": graph}, seed=0)
+        assert run_cli("sample", "--config", cfg, "-n", "3000000") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
 
 class TestEnumerateCommand:
     def test_top_k_marginals(self, tmp_path, capsys):
@@ -1359,7 +1397,19 @@ def test_overflowing_control_variate_is_exit_2_with_one_line(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: control variate value or gradient is not finite\n"
+    assert done.stderr == ("error: estimators[0].control_variate: "
+                           "control variate value or gradient is not finite\n")
+
+
+def test_overflowing_control_variate_in_fit_names_its_field(tmp_path, capsys):
+    # fit printed the same line as variance, naming no config field.
+    cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=0,
+                       optimizer={"iterations": 2}, fit={"target": [0]},
+                       estimator={"kind": "relax", "n_samples": 4, "control_variate":
+                                  {"kind": "quadratic", "coeff": 1e308}})
+    assert run_cli("fit", "--config", cfg) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: estimator.control_variate: control variate value or gradient is not finite"]
 
 
 def test_readme_lists_every_command():

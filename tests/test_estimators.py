@@ -111,6 +111,16 @@ class TestArgumentChecks:
         with pytest.raises(InvalidControlVariateError, match=r"shape \(4,\), expected \(3,\)"):
             cv(Utilities((0, 1, 2), [1.0, 1.0, 1.0]))
 
+    def test_quadratic_coefficients_for_other_keys_raise(self):
+        # numpy's matmul raised its own ValueError, directly and through grad_relax.
+        cv = quadratic_control_variate(np.ones(2))
+        sdef = TopK(3, 1)
+        match = "2 coefficients for 3 utilities"
+        with pytest.raises(InvalidArgumentError, match=match):
+            cv(Utilities((0, 1, 2), [1.0, 1.0, 1.0]))
+        with pytest.raises(InvalidArgumentError, match=match):
+            grad_relax(sdef, seeded_theta(sdef, 6), lambda x: 0.0, cv, 2, n_samples=4)
+
     @pytest.mark.parametrize(
         "estimate, match",
         [(lambda sdef, theta: grad_t_reinforce(sdef, theta, len, 0, 0), "n_samples"),

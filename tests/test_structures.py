@@ -232,9 +232,9 @@ class TestSpanningTree:
         assert list(dist.structure_marginals.values()) == pytest.approx([1.0])
 
     def test_disconnected_graph_raises(self):
-        sdef = SpanningTree(range(4), [(0, 1), (2, 3)])
-        with pytest.raises(InfeasibleGraphError):
-            run_struct(sdef, [0.4, 0.2])
+        match = r"^graph is disconnected: vertices \[2, 3\] are not connected to vertex 0$"
+        with pytest.raises(InfeasibleGraphError, match=match):
+            SpanningTree(range(4), [(0, 1), (2, 3)])
 
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -285,26 +285,18 @@ class TestArborescence:
         with pytest.raises(InvalidParameterError, match=message):
             Arborescence(range(3), edges, 0)
 
-    @pytest.mark.parametrize("n, edges, levels", [
-        (3, [(1, 2), (2, 1)], (((0, 1), (1, 0)),)),
-        (4, [(1, 2), (2, 1), (0, 3), (2, 3)], (((0, 2), (1, 1), (2, 0)),)),
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(1, 2), (2, 1)]),
+        (4, [(1, 2), (2, 1), (0, 3), (2, 3)]),
     ], ids=["loop_alone", "loop_beside_a_rooted_vertex"])
-    def test_unenterable_cycle_is_infeasible_on_every_path(self, n, edges, levels):
+    def test_unenterable_cycle_is_infeasible_on_every_path(self, n, edges):
         # 1 and 2 each have an incoming edge, but only from each other: the
-        # contracted loop {1, 2} has no edge from the root's side, while 3
-        # keeps its edges.  Trace validation never folds the recursion, so
-        # it must fail in map, which contracts the loop.
-        from stochinv import Trace, trace_log_prob
-
-        sdef = Arborescence(range(n), edges, 0)
-        theta = ThetaVector.constant(sdef.key_labels)
-        match = r"^no surviving edge enters the vertex group \[1, 2\]$"
+        # root reaches neither, while it reaches 3.  The constructor rejects
+        # the graph, so no definition exists to run, enumerate or validate a
+        # trace against.
+        match = r"^vertices \[1, 2\] are unreachable from root 0$"
         with pytest.raises(InfeasibleGraphError, match=match):
-            run_struct(sdef, np.arange(1.0, sdef.n_keys + 1))
-        with pytest.raises(InfeasibleGraphError, match=match):
-            enumerate_distribution(sdef, theta)
-        with pytest.raises(InfeasibleGraphError, match=match):
-            trace_log_prob(sdef, Trace(levels), theta)
+            Arborescence(range(n), edges, 0)
 
     def test_unenterable_cycle_is_exit_2_naming_the_vertex_group(self, tmp_path, capsys):
         from stochinv.cli import main
@@ -317,7 +309,7 @@ class TestArborescence:
         ))
         assert main(["enumerate", "--config", str(cfg)]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: no surviving edge enters the vertex group [1, 2]"]
+        assert lines == ["error: vertices [1, 2] are unreachable from root 0"]
 
     def test_edges_into_root_are_ignored(self):
         sdef = Arborescence([0, 1], [(0, 1), (1, 0)], 0)
@@ -427,6 +419,43 @@ def test_graph_kinds_find_the_exhaustive_minimum_on_random_graphs(graph, seed):
         assert run_struct(sdef, e)[0] == best
 
 
+def _reference_reach(edges, start) -> set:
+    """The vertices that the directed ``edges`` reach from ``start``, grown
+    to a fixed point one step at a time."""
+    reach = {start}
+    while True:
+        grown = reach | {v for u, v in edges if u in reach}
+        if grown == reach:
+            return reach
+        reach = grown
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_graph_kinds_reject_exactly_the_infeasible_graphs(data):
+    # A graph admits an arborescence iff its root reaches every vertex, and a
+    # spanning tree iff it is connected.  A kind that was built must
+    # enumerate without error.
+    directed = data.draw(st.booleans(), label="directed")
+    n = data.draw(st.integers(1, 5 if directed else 6), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(n) if (directed or u < v)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)), label="edges") if pairs else ())
+    if directed:
+        root = data.draw(st.integers(0, n - 1), label="root")
+        feasible = _reference_reach(edges, root) == set(range(n))
+        build = lambda: Arborescence(range(n), edges, root)
+    else:
+        feasible = _reference_reach(edges + [(v, u) for u, v in edges], 0) == set(range(n))
+        build = lambda: SpanningTree(range(n), edges)
+    if not feasible:
+        with pytest.raises(InfeasibleGraphError):
+            build()
+        return
+    sdef = build()
+    dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+    assert dist.total_prob == pytest.approx(1.0)
+
+
 def _ref_spanning_tree_map(sdef, K, roots, winners):
     """The vertex -> component-root rule, filtered through edge labels."""
     u, v = sdef.key_labels[winners[0]]
@@ -512,12 +541,12 @@ class TestGraphKindsMatchLabelReference:
                 ref_K, roots = _ref_spanning_tree_map(sdef, K, roots, winners)
                 K, R = sdef.map(K, R, winners)
                 assert K == ref_K
-                labels, count = R
+                labels = R
                 assert _components(range(len(sdef.vertices)), labels.__getitem__) == [
                     [sdef.vertices.index(x) for x in g]
                     for g in _components(sdef.vertices, roots.__getitem__)
                 ]
-                assert count == len(set(roots.values()))
+                assert (not K) == (len(set(roots.values())) == 1)
 
     @pytest.mark.parametrize(
         "vertices, edges, root",
@@ -603,6 +632,7 @@ class TestHamming:
 
     @pytest.mark.parametrize("a, b, names", [([0, 1], [1, 0], "list and list"),
                                              ((0, 1), frozenset({0, 1}), "tuple and frozenset"),
+                                             (frozenset({0, 1}), (0, 1), "frozenset and tuple"),
                                              (None, None, "NoneType and NoneType")])
     def test_values_that_cannot_be_compared_raise(self, a, b, names):
         with pytest.raises(InvalidArgumentError, match=f"cannot compare values of types {names}"):
