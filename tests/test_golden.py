@@ -93,6 +93,14 @@ CASES = {
          "theta": RANDOM_THETA, "seed": 4},
         ["-n", "120"], [],
     ),
+    # Top-k is the one kind whose unpicked keys draw residuals, so this
+    # pins the order of those draws.
+    "condcheck_top_k.json": (
+        "condcheck",
+        {"structure": {"kind": "top_k", "d": 6, "k": 3},
+         "theta": RANDOM_THETA, "seed": 15},
+        ["-n", "200"], [],
+    ),
     "variance_spanning_tree.csv": (
         "variance",
         {"structure": {"kind": "spanning_tree", "graph": "K4"},
