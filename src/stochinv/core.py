@@ -1,8 +1,8 @@
 """The generic subtract-the-minimum recursion and its probability companions.
 
 A structure definition supplies utility-blind subroutines (``split``,
-``map``, ``combine``; ``initial_state`` and ``stop`` default to every key
-and the empty key set) plus an opaque auxiliary state.  Running the
+``map``, ``combine``) plus an opaque auxiliary state; the recursion starts
+from every key and ends when ``map`` returns none.  Running the
 recursion on exponential utilities produces a combinatorial value together
 with its *trace*: the ordered record of every per-partition argmin.  Because
 the subroutines never read utility values, the trace is a sufficient
@@ -71,9 +71,9 @@ class StructureDefinition(ABC):
 
     ``split`` must return pairwise-disjoint nonempty tuples covering ``K``
     exactly, in an order that is deterministic given ``(K, R)``.  ``map``
-    must return a strictly smaller key set.  ``stop`` must be true at every
-    reachable state whose key set is empty.  Each state ``(K, R)`` must be
-    hashable: enumeration expands each distinct state once.
+    must return a strictly smaller key set; the walk starts from every key,
+    with ``initial_aux()``, and ends on the empty set.  Each state ``(K, R)``
+    must be hashable: enumeration expands each distinct state once.
     """
 
     key_labels: tuple
@@ -82,13 +82,9 @@ class StructureDefinition(ABC):
     def n_keys(self) -> int:
         return len(self.key_labels)
 
-    def initial_state(self):
-        """The root call's (key set, auxiliary state); by default every key, no state."""
-        return frozenset(range(self.n_keys)), None
-
-    def stop(self, K: frozenset, R) -> bool:
-        """Whether the recursion bottoms out at (K, R); by default on the empty key set."""
-        return not K
+    def initial_aux(self):
+        """The root call's auxiliary state; by default none."""
+        return None
 
     @abstractmethod
     def split(self, K: frozenset, R) -> Sequence[tuple]:
@@ -197,11 +193,10 @@ def run_struct(sdef: StructureDefinition, utilities):
 
 
 class _Walk(NamedTuple):
-    """A (K, R, parts, winners) frame per level, and the final key set."""
+    """A (K, R, parts, winners) frame per level."""
 
     sdef: StructureDefinition
     frames: list
-    K: frozenset
 
 
 def _carrying(levels: tuple, walk: _Walk) -> Trace:
@@ -213,34 +208,32 @@ def _carrying(levels: tuple, walk: _Walk) -> Trace:
 
 def _walks(sdef: StructureDefinition, choose, memo=None):
     """Yield a ``_Walk``, with live frames, per leaf of the recursion, depth
-    first from the root.  ``choose(parts)`` returns a level's nonempty
-    iterable of winner sequences; the next is taken when the walk resumes,
-    so a generator ``choose`` may hold per-branch state around its yield.
+    first from the root (every key, ``initial_aux()``) to an empty key set.
+    ``choose(parts)`` returns a level's nonempty iterable of winner
+    sequences; the next is taken when the walk resumes, so a generator
+    ``choose`` may hold per-branch state around its yield.
 
     Given a dict ``memo``, the walk keeps each state it meets there, as
-    ``(K, R) -> (stopped, parts, children)`` with ``children`` mapping a
-    level's winners to the next ``(K, R)``.  Then ``stop``, ``split`` and
-    the partition check run once per distinct ``(K, R)``, and ``map`` and
+    ``(K, R) -> (parts, children)`` with ``children`` mapping a level's
+    winners to the next ``(K, R)``.  Then ``split`` and the partition
+    check run once per distinct nonempty ``(K, R)``, and ``map`` and
     the shrink check once per distinct ``(K, R, winners)``, so ``choose``
     must yield hashable winners.
     """
     frames, open_levels = [], []
-    K, R = sdef.initial_state()
+    K, R = frozenset(range(sdef.n_keys)), sdef.initial_aux()
     while True:
-        state = None if memo is None else _known_state(memo, K, R)
-        if state is None:
-            stopped = sdef.stop(K, R)
-            parts = None
-            if not stopped:
+        if not K:
+            yield _Walk(sdef, frames)
+        else:
+            state = None if memo is None else _known_state(memo, K, R)
+            if state is None:
                 parts = sdef.split(K, R)
                 _check_partition(parts, K)
-            if memo is not None:
-                state = memo[K, R] = (stopped, parts, {})
-        else:
-            stopped, parts, _children = state
-        if stopped:
-            yield _Walk(sdef, frames, K)
-        else:
+                if memo is not None:
+                    state = memo[K, R] = (parts, {})
+            else:
+                parts = state[0]
             open_levels.append((K, R, parts, iter(choose(parts)), state))
             frames.append(None)
         # Take the next branch of the deepest level that has one left.
@@ -253,12 +246,12 @@ def _walks(sdef: StructureDefinition, choose, memo=None):
             frames.pop()
         else:
             return
-        child = None if state is None else state[2].get(winners)
+        child = None if state is None else state[1].get(winners)
         if child is None:
             child = sdef.map(K, R, winners)
             _check_shrink(child[0], K)
             if state is not None:
-                state[2][winners] = child
+                state[1][winners] = child
         frames[-1] = (K, R, parts, winners)
         K, R = child
 
@@ -568,11 +561,11 @@ def cond_sample(sdef: StructureDefinition, trace: Trace, theta: ThetaVector, rng
         (w, float(unit_exponential(rng)), tuple(P))
         for P, w in _stochastic_events(walk, mask)
     ]
-    # Residual draws, in the order the recursion would make them: keys that
-    # survive to the stop first, then the keys dropped at each level,
-    # deepest level first.  Keys masked by then get an exact 0 (no draw).
-    key_sets = [walk.K] + [K for K, _R, _parts, _winners in reversed(walk.frames)]
-    drops = [walk.K] + [K - K_deeper for K_deeper, K in zip(key_sets, key_sets[1:])]
+    # Residual draws, in the order the recursion would make them: the keys
+    # each level's map drops, deepest level first (the deepest child is
+    # empty).  Keys masked by then get an exact 0 (no draw).
+    key_sets = [frozenset()] + [K for K, _R, _parts, _winners in reversed(walk.frames)]
+    drops = [K - K_deeper for K_deeper, K in zip(key_sets, key_sets[1:])]
     tail = [
         (k, float(unit_exponential(rng)))
         for keys in drops for k in sorted(keys) if not mask[k]

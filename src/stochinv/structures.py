@@ -2,12 +2,13 @@
 
 Each class realizes one greedy recursion over the shared interface in
 ``core``: repeatedly take per-partition minima of the perturbed input and
-shrink the problem.  Each writes its own ``split``, ``map`` and ``combine``,
-and inherits the root (every key, no auxiliary state) and the base case
-(stop on the empty key set) unless its own differ.  A graph kind rejects
-an infeasible graph when it is built.  All of them have the property that
-the recursion's inputs stay independent exponentials given the winners so
-far, which is what makes their trace probabilities exact.
+shrink the problem.  Each writes its own ``split``, ``map`` and ``combine``;
+the recursion starts from every key, with the root's auxiliary state from
+``initial_aux`` (none unless a kind overrides it), and ends when ``map``
+returns the empty key set.  A graph kind rejects an infeasible graph when
+it is built.  All of them have the property that the recursion's inputs
+stay independent exponentials given the winners so far, which is what
+makes their trace probabilities exact.
 
 Keys are dense integers internally; ``key_labels`` carries the
 caller-facing names (item indices, matrix cells, edge tuples).  Structure
@@ -85,8 +86,8 @@ class TopK(_SetValued):
     """The k smallest of d items, as an unordered subset.
 
     One partition per level (everything still in play); the winner leaves
-    the pool and the remaining count decrements, so the trace is the
-    selection order while the value forgets it.
+    the pool, and after the k-th winner ``map`` drops the keys left, so the
+    trace is the selection order while the value forgets it.
     """
 
     kind = "top_k"
@@ -102,17 +103,12 @@ class TopK(_SetValued):
     def from_config(cls, spec):
         return cls(as_int(spec["d"], "structure.d"), as_int(spec["k"], "structure.k"))
 
-    def initial_state(self):
-        return frozenset(range(self.d)), self.k
-
-    def stop(self, K, R):
-        return R == 0
-
     def split(self, K, R):
         return [tuple(sorted(K))]
 
     def map(self, K, R, winners):
-        return K - {winners[0]}, R - 1
+        rest = K - {winners[0]}
+        return (rest if len(rest) > self.d - self.k else frozenset()), None
 
     def combine(self, child, K, R, winners):
         return (child or frozenset()) | {winners[0]}
@@ -125,7 +121,7 @@ class TopK(_SetValued):
             return _fail(f"subset has {len(value)} elements, expected {self.k}")
         unknown = set(value) - set(self.key_labels)
         if unknown:
-            return _fail(f"subset contains unknown keys {unknown!r}")
+            return _fail(f"subset contains unknown keys {bounded_repr(unknown)}")
         return _OK
 
 
@@ -234,8 +230,8 @@ class BinaryTree(StructureDefinition):
     def from_config(cls, spec):
         return cls(as_int(spec["n"], "structure.n"))
 
-    def initial_state(self):
-        return frozenset(range(self.n)), ((0, self.n - 1),)
+    def initial_aux(self):
+        return ((0, self.n - 1),)
 
     def split(self, K, R):
         return [tuple(range(lo, hi + 1)) for lo, hi in R]
@@ -401,7 +397,7 @@ class SpanningTree(_SetValued):
     the component's smallest vertex).  The minimum surviving edge merges
     two components under the smaller label; edges that become internal
     disappear.  On a connected graph the key set empties exactly when one
-    component is left, so the inherited base case ends the recursion.
+    component is left, which is where the walk ends.
     ``_u``/``_v`` hold each edge's endpoint positions.
     """
 
@@ -440,8 +436,8 @@ class SpanningTree(_SetValued):
             raise ConfigError(f"{cls.kind} needs an undirected graph")
         return cls(range(n_vertices), edges)
 
-    def initial_state(self):
-        return frozenset(range(len(self.key_labels))), tuple(range(len(self.vertices)))
+    def initial_aux(self):
+        return tuple(range(len(self.vertices)))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -474,10 +470,10 @@ class SpanningTree(_SetValued):
 
         for u, v in value:
             if u not in roots or v not in roots:
-                return _fail(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+                return _fail(f"edge {bounded_repr((u, v))} has an unknown endpoint")
             ru, rv = find(u), find(v)
             if ru == rv:
-                return _fail(f"edge ({u!r}, {v!r}) closes a cycle")
+                return _fail(f"edge {bounded_repr((u, v))} closes a cycle")
             roots[ru] = rv
         return _OK
 
@@ -544,9 +540,8 @@ class Arborescence(_SetValued):
             raise ConfigError(f"{cls.kind} needs a root (file or config)")
         return cls(range(n_vertices), edges, root)
 
-    def initial_state(self):
-        supernodes = tuple(frozenset((v,)) for v in self.vertices if v != self.root)
-        return frozenset(range(len(self.key_labels))), supernodes
+    def initial_aux(self):
+        return tuple(frozenset((v,)) for v in self.vertices if v != self.root)
 
     def split(self, K, R):
         slot = {v: i for i, S in enumerate(R) for v in S}
@@ -611,16 +606,17 @@ class Arborescence(_SetValued):
         indeg = {v: 0 for v in vertices}
         for u, v in value:
             if u not in indeg or v not in indeg:
-                return _fail(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+                return _fail(f"edge {bounded_repr((u, v))} has an unknown endpoint")
             indeg[v] += 1
         if indeg[root] != 0:
-            return _fail(f"root {root!r} has in-degree {indeg[root]}")
+            return _fail(f"root {bounded_repr(root)} has in-degree {indeg[root]}")
         for v in vertices:
             if v != root and indeg[v] != 1:
-                return _fail(f"vertex {v!r} has in-degree {indeg[v]}, expected 1")
+                return _fail(f"vertex {bounded_repr(v)} has in-degree {indeg[v]}, expected 1")
         reached = _reached(root, value)
         if reached != set(vertices):
-            return _fail(f"vertices {set(vertices) - reached!r} unreachable from the root")
+            return _fail(f"vertices {bounded_repr(set(vertices) - reached)} unreachable "
+                         "from the root")
         return _OK
 
 

@@ -1097,6 +1097,28 @@ class TestConfigHandling:
         assert run_cli(command, "--config", cfg) == 2
         assert "unknown endpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "structure, graph, target",
+        [
+            ({"kind": "top_k", "d": 3, "k": 1}, None, ["9" * 4000]),
+            ({"kind": "spanning_tree"}, K4_UNDIRECTED, [[0, 1], [1, 2], [2, "9" * 4000]]),
+            ({"kind": "arborescence"}, K3_DIRECTED, [[0, 1], ["9" * 4000, 2]]),
+        ],
+        ids=["top_k", "spanning_tree", "arborescence"],
+    )
+    def test_long_target_label_is_cut_in_its_error(self, tmp_path, capsys, structure,
+                                                   graph, target):
+        # The invalid label went into the message whole: one stderr line of
+        # about 4080 characters.
+        if graph is not None:
+            structure = {**structure, "graph": write_graph(tmp_path, graph)}
+        cfg = write_config(tmp_path, structure=structure, optimizer={"iterations": 1},
+                           fit={"target": target}, seed=0)
+        assert run_cli("fit", "--config", cfg) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 200
+        assert "fit.target is not a valid structure" in lines[0]
+
     @pytest.mark.parametrize("command", ["variance", "fit"])
     def test_leave_one_out_budget_not_a_multiple_of_k_is_exit_2(self, tmp_path, capsys,
                                                                  command):

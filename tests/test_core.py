@@ -120,17 +120,16 @@ class TestRunStruct:
                 x, t = run_struct(sdef, 2.5 * e)
                 assert (x, t) == (x0, t0)
 
-    def test_stop_is_true_on_empty_keys_at_termination(self):
+    def test_keys_run_out_exactly_at_the_last_level(self):
         for _name, sdef in representative_instances():
             theta = seeded_theta(sdef, 5)
             e = sample_utilities(theta, np.random.default_rng(4))
             _x, t = run_struct(sdef, e)
-            K, R = sdef.initial_state()
+            K, R = frozenset(range(sdef.n_keys)), sdef.initial_aux()
             for level in t.levels:
+                assert K
                 K, R = sdef.map(K, R, [w for _pi, w in level])
-            assert sdef.stop(K, R)
-            if not K:
-                assert sdef.stop(frozenset(), R)
+            assert not K
 
 
 class TestTraceLogProb:
@@ -352,6 +351,28 @@ class TestConditionalSampling:
                 )
                 total += sum(eps / rates[k] for key, eps in rec.tail if key == k)
                 assert e_cond.values[k] == pytest.approx(total, rel=1e-12, abs=1e-300)
+
+    def test_residuals_follow_the_keys_each_map_drops_deepest_first(self):
+        # Replaying map gives each level's dropped keys; the unmasked keys
+        # that never win draw residuals group by group, deepest level first,
+        # sorted within a group.
+        for name, sdef in representative_instances():
+            mask = [k == 0 for k in range(sdef.n_keys)]
+            theta = ThetaVector(sdef.key_labels, seeded_theta(sdef, 13).theta, mask)
+            rng = np.random.default_rng(16)
+            for _ in range(20):
+                _x, t = run_struct(sdef, sample_utilities(theta, rng))
+                out = set(t.winners()) | {0}
+                K, R = frozenset(range(sdef.n_keys)), sdef.initial_aux()
+                drops = []
+                for level in t.levels:
+                    K_next, R = sdef.map(K, R, [w for _pi, w in level])
+                    drops.append(K - K_next)
+                    K = K_next
+                expected = [k for keys in reversed(drops) for k in sorted(keys) if k not in out]
+                _e, rec = cond_sample(sdef, t, theta, rng)
+                assert [k for k, _eps in rec.tail] == expected, name
+                assert set(expected) == set(range(sdef.n_keys)) - out, name
 
     def test_infeasible_trace_raises(self):
         sdef = TopK(2, 1)
@@ -600,37 +621,22 @@ class _OverlappingPartitions(TopK):
 
 class _NonShrinkingMap(TopK):
     def map(self, K, R, winners):
-        return K, R - 1
-
-
-class _NoStopOnEmptyKeys(TopK):
-    # Once the keys run out, split returns no partitions and map no winners.
-    def stop(self, K, R):
-        return False
-
-    def split(self, K, R):
-        return [tuple(sorted(K))] if K else []
-
-    def map(self, K, R, winners):
-        return (K - {winners[0]}, R - 1) if winners else (K, R)
+        return K, R
 
 
 class _ListState(TopK):
     # R is a one-element list: unhashable.
-    def initial_state(self):
-        return frozenset(range(self.d)), [self.k]
-
-    def stop(self, K, R):
-        return R[0] == 0 or not K
+    def initial_aux(self):
+        return [self.k]
 
     def map(self, K, R, winners):
-        return K - {winners[0]}, [R[0] - 1]
+        return (K - {winners[0]} if R[0] > 1 else frozenset()), [R[0] - 1]
 
 
 class TestDefinitionContracts:
     @pytest.mark.parametrize(
         "broken",
-        [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap, _NoStopOnEmptyKeys],
+        [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap],
     )
     @pytest.mark.parametrize("entry", ["run_struct", "enumerate_distribution"])
     def test_both_entry_points_raise_the_same_error(self, broken, entry):
@@ -660,7 +666,7 @@ class TestDefinitionContracts:
     def test_non_shrinking_map_is_rejected(self):
         class Broken(TopK):
             def map(self, K, R, winners):
-                return K, R - 1
+                return K, R
 
         sdef = Broken(3, 2)
         with pytest.raises(StructureDefinitionError):

@@ -84,10 +84,10 @@ def test_recursion_contract_at_every_reachable_state(instance):
     _kind, _spec, sdef = instance
     dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
     for entry in dist.entries:
-        K, R = sdef.initial_state()
+        K, R = frozenset(range(sdef.n_keys)), sdef.initial_aux()
         for level in entry.trace.levels:
+            assert K
             assert isinstance(hash((K, R)), int)
-            assert not sdef.stop(K, R)
             parts = sdef.split(K, R)
             assert sdef.split(K, R) == parts
             flat = [k for P in parts for k in P]
@@ -97,8 +97,7 @@ def test_recursion_contract_at_every_reachable_state(instance):
             assert K_next < K
             K = K_next
         assert isinstance(hash((K, R)), int)
-        assert sdef.stop(K, R)
-        assert sdef.stop(frozenset(), R)
+        assert not K
 
 
 def test_readme_lists_exactly_the_registered_kinds():

@@ -177,7 +177,7 @@ class TestEnumeration:
         states, branches = set(), set()
         dist = enumerate_distribution(counting, seeded_theta(counting, 16))
         for entry in dist.entries:
-            K, R = plain.initial_state()
+            K, R = frozenset(range(plain.n_keys)), plain.initial_aux()
             for level in entry.trace.levels:
                 winners = tuple(w for _pi, w in level)
                 states.add((K, R))

@@ -533,7 +533,7 @@ class TestGraphKindsMatchLabelReference:
         sdef = SpanningTree(vertices, edges)
         dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
         for entry in dist.entries:
-            K, R = sdef.initial_state()
+            K, R = frozenset(range(sdef.n_keys)), sdef.initial_aux()
             roots = {x: x for x in sdef.vertices}
             for level in entry.trace.levels:
                 assert sdef.split(K, R) == [tuple(sorted(K))]
@@ -561,7 +561,7 @@ class TestGraphKindsMatchLabelReference:
         dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
         assert any(len(e.trace.levels) > 1 for e in dist.entries)
         for entry in dist.entries:
-            K, R = sdef.initial_state()
+            K, R = frozenset(range(sdef.n_keys)), sdef.initial_aux()
             for level in entry.trace.levels:
                 assert sdef.split(K, R) == _ref_arborescence_split(sdef, K, R)
                 winners = [w for _pi, w in level]
