@@ -173,9 +173,9 @@ def hamming_loss(sdef, fit):
             target = sdef.decode_value(fit["target"])
         except (TypeError, ValueError, ConfigError, RecursionError) as exc:
             raise ConfigError(f"malformed fit.target: {exc}") from exc
-        check = sdef.validate_value(target)
-        if not check:
-            raise ConfigError(f"fit.target is not a valid structure: {check.reason}")
+        if not sdef.validate_value(target):
+            raise ConfigError(f"fit.target is not a valid structure: {bounded_repr(fit['target'])}"
+                              f" is not a {sdef.kind} of this instance")
     return lambda x: float(structures.hamming_distance(x, target))
 
 

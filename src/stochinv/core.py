@@ -74,6 +74,9 @@ class StructureDefinition(ABC):
     must return a strictly smaller key set; the walk starts from every key,
     with ``initial_aux()``, and ends on the empty set.  Each state ``(K, R)``
     must be hashable: enumeration expands each distinct state once.
+
+    A value is valid when the recursion can produce it: ``validate_value``
+    runs ``run_struct`` on the utilities a kind's ``favour`` states.
     """
 
     key_labels: tuple
@@ -108,6 +111,24 @@ class StructureDefinition(ABC):
         as is.  Each kind's ``decode_value`` inverts it.
         """
         return value
+
+    def favour(self, value) -> dict:
+        """Small integer utilities by label, a key left out getting 1, under
+        which ``value`` is the recursion's unique optimum whenever the
+        recursion can produce it."""
+        raise NotImplementedError(f"{type(self).__name__} states no favour")
+
+    def validate_value(self, value) -> bool:
+        """Whether the recursion can produce ``value``: exactly when
+        ``run_struct`` returns it under ``favour(value)``.  The output holds
+        only key labels, and the utilities are small integers, so every
+        subtraction is exact."""
+        try:
+            favoured = self.favour(value)
+        except (TypeError, ValueError):
+            return False
+        produced, _trace = run_struct(self, [favoured.get(label, 1) for label in self.key_labels])
+        return produced == value
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,15 +15,16 @@ caller-facing names (item indices, matrix cells, edge tuples).  Structure
 values are expressed in label space.
 
 Each class also owns its config kind and its JSON form: the ``kind``
-name, ``from_config``, ``encode_value`` (what the CLI writes),
-``decode_value`` (its inverse) and ``validate_value``.  ``KINDS`` maps
-each kind name to its class.
+name, ``from_config``, ``encode_value`` (what the CLI writes) and
+``decode_value`` (its inverse).  A value is valid when the recursion can
+produce it, which ``core``'s one ``validate_value`` decides from the
+utilities each kind's ``favour`` states.  ``KINDS`` maps each kind name to
+its class.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional
 
@@ -39,22 +40,6 @@ from .errors import (
 )
 
 TreeNode = namedtuple("TreeNode", ["key", "left", "right"])
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _fail(reason: str) -> ValidationResult:
-    return ValidationResult(False, reason)
-
-
-_OK = ValidationResult(True)
 
 
 _label = partial(as_int, field="each label")  # reads a decoded value's labels
@@ -73,13 +58,17 @@ def _edges_from_json(doc) -> frozenset:
 
 
 class _SetValued(StructureDefinition):
-    """A structure whose value is a set of labels, written as a sorted tuple."""
+    """A structure whose value is a set of labels, written as a sorted tuple,
+    and favoured by utility 0 on its members and 1 on the rest."""
 
     def finish(self, value):
         return value if value is not None else frozenset()
 
     def encode_value(self, value):
         return tuple(sorted(value))
+
+    def favour(self, value):
+        return dict.fromkeys(value, 0)
 
 
 class TopK(_SetValued):
@@ -116,14 +105,6 @@ class TopK(_SetValued):
     def decode_value(self, doc):
         return frozenset(map(_label, _json_list(doc, "the list of labels")))
 
-    def validate_value(self, value):
-        if len(value) != self.k:
-            return _fail(f"subset has {len(value)} elements, expected {self.k}")
-        unknown = set(value) - set(self.key_labels)
-        if unknown:
-            return _fail(f"subset contains unknown keys {bounded_repr(unknown)}")
-        return _OK
-
 
 class Argsort(StructureDefinition):
     """All d items ordered by increasing perturbed value.
@@ -156,12 +137,8 @@ class Argsort(StructureDefinition):
     def decode_value(self, doc):
         return tuple(map(_label, _json_list(doc, "the list of labels")))
 
-    def validate_value(self, value):
-        if len(value) != self.d:
-            return _fail(f"permutation has {len(value)} entries, expected {self.d}")
-        if sorted(value) != list(self.key_labels):
-            return _fail("permutation is not a bijection on the keys")
-        return _OK
+    def favour(self, value):
+        return {label: position for position, label in enumerate(value)}
 
 
 class Matching(_SetValued):
@@ -199,13 +176,6 @@ class Matching(_SetValued):
 
     def decode_value(self, doc):
         return _edges_from_json(doc)
-
-    def validate_value(self, value):
-        if sorted(r for r, _ in value) != list(range(self.n)):
-            return _fail("rows are not each used exactly once")
-        if sorted(c for _, c in value) != list(range(self.n)):
-            return _fail("columns are not each used exactly once")
-        return _OK
 
 
 class BinaryTree(StructureDefinition):
@@ -263,31 +233,16 @@ class BinaryTree(StructureDefinition):
         key, left, right = _json_list(doc, "each tree node")
         return TreeNode(_label(key), self.decode_value(left), self.decode_value(right))
 
-    def validate_value(self, value):
-        if value is None:
-            return _fail("tree is empty")
-        inorder = _tree_nodes_inorder(value)
-        if len(inorder) != self.n or len(set(inorder)) != self.n:
-            return _fail(f"tree holds {len(inorder)} nodes, expected {self.n} distinct")
-        if inorder != list(range(self.n)):
-            return _fail("in-order traversal does not recover the token order")
-        return _OK
-
-
-def _tree_nodes_inorder(tree) -> list:
-    out = []
-    stack = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if node is None:
-            continue
-        if expanded:
-            out.append(node.key)
-        else:
-            stack.append((node.right, False))
-            stack.append((node, True))
-            stack.append((node.left, False))
-    return out
+    def favour(self, value):
+        # Each node's depth: a subtree's root is the strict minimum of its span.
+        depth, stack = {}, [(value, 0)]
+        while stack:
+            node, d = stack.pop()
+            if node is not None:
+                key, left, right = node
+                depth[key] = d
+                stack += [(left, d + 1), (right, d + 1)]
+        return depth
 
 
 def _reached(root, edges) -> set:
@@ -456,27 +411,6 @@ class SpanningTree(_SetValued):
     def decode_value(self, doc):
         return frozenset((min(u, v), max(u, v)) for u, v in _edges_from_json(doc))
 
-    def validate_value(self, value):
-        vertices = self.vertices
-        if len(value) != len(vertices) - 1:
-            return _fail(f"{len(value)} edges for {len(vertices)} vertices")
-        roots = {v: v for v in vertices}
-
-        def find(x):
-            while roots[x] != x:
-                roots[x] = roots[roots[x]]
-                x = roots[x]
-            return x
-
-        for u, v in value:
-            if u not in roots or v not in roots:
-                return _fail(f"edge {bounded_repr((u, v))} has an unknown endpoint")
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return _fail(f"edge {bounded_repr((u, v))} closes a cycle")
-            roots[ru] = rv
-        return _OK
-
 
 class Arborescence(_SetValued):
     """A directed spanning tree with all edges oriented away from a root.
@@ -600,24 +534,6 @@ class Arborescence(_SetValued):
 
     def decode_value(self, doc):
         return _edges_from_json(doc)
-
-    def validate_value(self, value):
-        vertices, root = self.vertices, self.root
-        indeg = {v: 0 for v in vertices}
-        for u, v in value:
-            if u not in indeg or v not in indeg:
-                return _fail(f"edge {bounded_repr((u, v))} has an unknown endpoint")
-            indeg[v] += 1
-        if indeg[root] != 0:
-            return _fail(f"root {bounded_repr(root)} has in-degree {indeg[root]}")
-        for v in vertices:
-            if v != root and indeg[v] != 1:
-                return _fail(f"vertex {bounded_repr(v)} has in-degree {indeg[v]}, expected 1")
-        reached = _reached(root, value)
-        if reached != set(vertices):
-            return _fail(f"vertices {bounded_repr(set(vertices) - reached)} unreachable "
-                         "from the root")
-        return _OK
 
 
 KINDS = {

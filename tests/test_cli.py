@@ -1095,7 +1095,9 @@ class TestConfigHandling:
             seed=0,
         )
         assert run_cli(command, "--config", cfg) == 2
-        assert "unknown endpoint" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: fit.target is not a valid structure: [[0, 1], [1, 2], [2, 9]]"
+                         " is not a spanning_tree of this instance"]
 
     @pytest.mark.parametrize(
         "structure, graph, target",
@@ -1325,24 +1327,25 @@ class TestConfigHandling:
         pytest.param("fit", {"structure": {"kind": "top_k", "d": 3, "k": 1}, "fit": {}}, None,
                      "fit needs a 'fit.target'", id="fit_without_target"),
         *[pytest.param("fit", {"structure": structure, "fit": {"target": target}}, graph,
-                       f"fit.target is not a valid structure: {reason}", id=f"target_{name}")
-          for name, structure, graph, target, reason in [
-              ("argsort_not_a_permutation", {"kind": "argsort", "d": 3}, None, [0, 0, 1],
-               "permutation is not a bijection on the keys"),
-              ("argsort_wrong_length", {"kind": "argsort", "d": 3}, None, [0, 1],
-               "permutation has 2 entries, expected 3"),
-              ("matching_row_twice", {"kind": "matching", "n": 2}, None, [[0, 0], [0, 1]],
-               "rows are not each used exactly once"),
-              ("matching_column_twice", {"kind": "matching", "n": 2}, None, [[0, 0], [1, 0]],
-               "columns are not each used exactly once"),
-              ("binary_tree_null", {"kind": "binary_tree", "n": 3}, None, None,
-               "tree is empty"),
+                       f"fit.target is not a valid structure: {target!r} is not a"
+                       f" {structure['kind']} of this instance", id=f"target_{name}")
+          for name, structure, graph, target in [
+              ("argsort_not_a_permutation", {"kind": "argsort", "d": 3}, None, [0, 0, 1]),
+              ("argsort_wrong_length", {"kind": "argsort", "d": 3}, None, [0, 1]),
+              ("matching_row_twice", {"kind": "matching", "n": 2}, None, [[0, 0], [0, 1]]),
+              ("matching_column_twice", {"kind": "matching", "n": 2}, None, [[0, 0], [1, 0]]),
+              ("binary_tree_null", {"kind": "binary_tree", "n": 3}, None, None),
               ("spanning_tree_edge_count", {"kind": "spanning_tree", "graph": "GRAPH"},
-               K4_UNDIRECTED, [[0, 1], [1, 2]], "2 edges for 4 vertices"),
+               K4_UNDIRECTED, [[0, 1], [1, 2]]),
               ("spanning_tree_not_spanning", {"kind": "spanning_tree", "graph": "GRAPH"},
-               K4_UNDIRECTED, [[0, 1], [1, 2], [0, 2]], "edge (1, 2) closes a cycle"),
+               K4_UNDIRECTED, [[0, 1], [1, 2], [0, 2]]),
               ("arborescence_edge_into_root", {"kind": "arborescence", "graph": "GRAPH"},
-               K3_DIRECTED, [[1, 0], [0, 2]], "root 0 has in-degree 1"),
+               K3_DIRECTED, [[1, 0], [0, 2]]),
+              # The edge (0, 2) is not in the path graph 0-1-2.
+              ("spanning_tree_edge_outside_graph", {"kind": "spanning_tree", "graph": "GRAPH"},
+               "graph undirected 3\n0 1\n1 2\n", [[0, 2], [1, 2]]),
+              ("arborescence_edge_outside_graph", {"kind": "arborescence", "graph": "GRAPH"},
+               "graph directed 3\nroot 0\n0 1\n1 2\n", [[0, 1], [0, 2]]),
           ]],
         *[pytest.param("enumerate", {"structure": {"kind": kind, "graph": "GRAPH"}}, text,
                        fragment, id=f"graph_{name}")

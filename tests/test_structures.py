@@ -32,20 +32,32 @@ from stochinv import (
     run_struct,
     sample_utilities,
 )
-from conftest import complete_digraph, complete_graph, seeded_theta
+from conftest import complete_digraph, complete_graph, seeded_theta, small_instances
+
+
+def _reference_reach(edges, start) -> set:
+    """The vertices that the directed ``edges`` reach from ``start``, grown
+    to a fixed point one step at a time."""
+    reach = {start}
+    while True:
+        grown = reach | {v for u, v in edges if u in reach}
+        if grown == reach:
+            return reach
+        reach = grown
 
 
 def all_spanning_trees(vertices, edges):
-    sdef = SpanningTree(vertices, edges)
+    """Every n-1 of ``edges`` that reach every vertex read in both directions."""
     for subset in itertools.combinations(edges, len(vertices) - 1):
-        if sdef.validate_value(frozenset(subset)):
+        both_ways = list(subset) + [(v, u) for u, v in subset]
+        if _reference_reach(both_ways, vertices[0]) == set(vertices):
             yield frozenset(subset)
 
 
 def all_arborescences(vertices, edges, root):
-    sdef = Arborescence(vertices, edges, root)
+    """Every n-1 of ``edges`` through which ``root`` reaches every vertex."""
     for subset in itertools.combinations(edges, len(vertices) - 1):
-        if sdef.validate_value(frozenset(subset)):
+        if _reference_reach(subset, root) == set(vertices):
             yield frozenset(subset)
 
 
@@ -419,17 +431,6 @@ def test_graph_kinds_find_the_exhaustive_minimum_on_random_graphs(graph, seed):
         assert run_struct(sdef, e)[0] == best
 
 
-def _reference_reach(edges, start) -> set:
-    """The vertices that the directed ``edges`` reach from ``start``, grown
-    to a fixed point one step at a time."""
-    reach = {start}
-    while True:
-        grown = reach | {v for u, v in edges if u in reach}
-        if grown == reach:
-            return reach
-        reach = grown
-
-
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_graph_kinds_reject_exactly_the_infeasible_graphs(data):
@@ -570,6 +571,63 @@ class TestGraphKindsMatchLabelReference:
                 assert (K, R) == expected
 
 
+def _edits(seq, labels) -> set:
+    """``seq`` with one item dropped, replaced by one of ``labels`` or one
+    inserted, or with two items swapped."""
+    seq, n = tuple(seq), len(seq)
+    out = {seq[:i] + seq[i + 1:] for i in range(n)}
+    out |= {seq[:i] + (x,) + seq[i + j:] for x in labels for i in range(n + 1)
+            for j in (0, 1) if i + j <= n}
+    for i, j in itertools.combinations(range(n), 2):
+        swapped = list(seq)
+        swapped[i], swapped[j] = seq[j], seq[i]
+        out.add(tuple(swapped))
+    return out
+
+
+def _shapes(n):
+    """Every binary tree shape of ``n`` nodes, as nested (left, right) pairs."""
+    if n == 0:
+        return [None]
+    return [(left, right) for i in range(n)
+            for left in _shapes(i) for right in _shapes(n - 1 - i)]
+
+
+def _labelled(shape, keys):
+    """``shape`` as a tree whose in-order keys are taken from the iterator ``keys``."""
+    if shape is None:
+        return None
+    left = _labelled(shape[0], keys)
+    return TreeNode(next(keys), left, _labelled(shape[1], keys))
+
+
+def _candidates(sdef, support) -> set:
+    """The support and its one-edit neighbours, over every key label plus
+    labels that are not keys: every vertex pair, a vertex past the last,
+    and an index one past each end."""
+    if isinstance(sdef, Matching):
+        labels = list(itertools.product(range(sdef.n + 1), repeat=2))
+    elif isinstance(sdef, (SpanningTree, Arborescence)):
+        labels = list(itertools.product(range(len(sdef.vertices) + 1), repeat=2))
+    else:
+        labels = range(-1, sdef.n_keys + 1)
+    if isinstance(sdef, BinaryTree):
+        inorders = _edits(range(sdef.n), labels) | {tuple(range(sdef.n))}
+        return {_labelled(shape, iter(keys)) for keys in inorders
+                for shape in _shapes(len(keys))}
+    if isinstance(sdef, Argsort):
+        return support.union(*(_edits(x, labels) for x in support))
+    return support.union(*(map(frozenset, _edits(sorted(x), labels)) for x in support))
+
+
+def _assert_valid_exactly_on_the_support(sdef):
+    dist = enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels))
+    support = {entry.structure for entry in dist.entries}
+    candidates = _candidates(sdef, support)
+    assert support <= candidates
+    assert {x for x in candidates if sdef.validate_value(x)} == support
+
+
 class TestValidate:
     def test_sampled_values_always_validate(self):
         from conftest import representative_instances
@@ -579,38 +637,66 @@ class TestValidate:
             rng = np.random.default_rng(6)
             for _ in range(50):
                 x, _t = run_struct(sdef, sample_utilities(theta, rng))
-                result = sdef.validate_value(x)
-                assert result.ok, result.reason
+                assert sdef.validate_value(x) is True
+
+    @pytest.mark.parametrize("sdef", [pytest.param(sdef, id=name)
+                                      for name, sdef in small_instances()])
+    def test_accepts_exactly_the_enumerated_values(self, sdef):
+        _assert_valid_exactly_on_the_support(sdef)
 
     def test_valid_spanning_tree(self):
         sdef = SpanningTree((0, 1, 2), complete_graph(3))
         assert sdef.validate_value(frozenset({(0, 1), (1, 2)}))
 
-    def test_double_in_degree_names_vertex(self):
+    def test_double_in_degree_rejected(self):
         bad = frozenset({(0, 1), (2, 1), (1, 2)})
-        result = Arborescence((0, 1, 2), complete_digraph(3), 0).validate_value(bad)
-        assert not result.ok
-        assert "1" in result.reason
+        assert not Arborescence((0, 1, 2), complete_digraph(3), 0).validate_value(bad)
 
     def test_bad_inorder_rejected(self):
         tree = TreeNode(1, TreeNode(2, None, None), TreeNode(0, None, None))
-        result = BinaryTree(3).validate_value(tree)
-        assert not result.ok
+        assert not BinaryTree(3).validate_value(tree)
 
     def test_cycle_edge_rejected(self):
         bad = frozenset({(0, 1), (1, 2), (0, 2)})
-        result = SpanningTree(range(4), complete_graph(4)).validate_value(bad)
-        assert not result.ok
+        assert not SpanningTree(range(4), complete_graph(4)).validate_value(bad)
 
     def test_unknown_endpoint_rejected_not_raised(self):
         bad = frozenset({(0, 1), (1, 5)})
-        result = Arborescence((0, 1, 2), complete_digraph(3), 0).validate_value(bad)
-        assert not result.ok
-        assert "(1, 5)" in result.reason
+        assert Arborescence((0, 1, 2), complete_digraph(3), 0).validate_value(bad) is False
+
+    def test_edge_outside_the_graph_rejected(self):
+        # Both values have a valid tree's shape on the vertices, but (0, 2)
+        # is not an edge of the path 0-1-2.
+        path = [(0, 1), (1, 2)]
+        assert not SpanningTree(range(3), path).validate_value(frozenset({(0, 2), (1, 2)}))
+        assert not Arborescence(range(3), path, 0).validate_value(frozenset({(0, 1), (0, 2)}))
+
+    def test_reversed_edge_label_rejected(self):
+        # (1, 0) is not the key label (0, 1), and Hamming distance to a
+        # sampled tree counts it as a different edge.
+        sdef = SpanningTree(range(3), complete_graph(3))
+        assert not sdef.validate_value(frozenset({(1, 0), (1, 2)}))
 
     def test_wrong_subset_size(self):
-        result = TopK(3, 2).validate_value(frozenset({0}))
-        assert not result.ok
+        assert not TopK(3, 2).validate_value(frozenset({0}))
+
+    def test_malformed_values_are_rejected_not_raised(self):
+        cases = [(TopK(3, 1), 7), (Argsort(3), [0, [1], 2]), (BinaryTree(2), "01"),
+                 (BinaryTree(2), TreeNode(0, None, (1, None))), (Matching(2), None)]
+        for sdef, value in cases:
+            assert sdef.validate_value(value) is False
+
+
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_graph_kinds_accept_exactly_the_enumerated_values(graph):
+    # Candidates include every vertex pair, so an edge the graph lacks is
+    # offered on every sparse graph.
+    directed, n, edges = graph
+    if directed:
+        _assert_valid_exactly_on_the_support(Arborescence(range(n), edges, 0))
+    else:
+        _assert_valid_exactly_on_the_support(SpanningTree(range(n), edges))
 
 
 class TestHamming:
