@@ -21,7 +21,8 @@ one cell rule, ``_cell``; ``sample`` writes JSON as JSON lines.
 ``hamming_loss`` is the loss of ``variance`` and ``fit``.
 Outputs are machine-readable (JSON or CSV with 17 significant digits) and
 byte-identical under a fixed seed.  Exit codes: 0 success, 2 config or
-input error, 1 internal invariant violation.
+input error (a draw count too large to allocate among them), 1 internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -528,8 +529,11 @@ def main(argv=None) -> int:
         if out is not None:
             out = as_output_path(out, "out")
         n = as_int(args.num, "-n", least=0) if command.takes_n else None
-        fmt = args.format or config.get("format") or command.default_format
-        if fmt not in ("json", "csv"):
+        # Only an absent or null format means the command's default.
+        fmt = args.format or config.get("format")
+        if fmt is None:
+            fmt = command.default_format
+        elif fmt not in ("json", "csv"):
             raise ConfigError(f"unknown output format {bounded_repr(fmt)}")
         sdef = build_structure(config)
         seed = as_int(config.get("seed", 0), "seed", least=0)
@@ -542,6 +546,10 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, InvalidParameterError, InfeasibleGraphError, InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A draw count too large to allocate; numpy's message names the size.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except StochinvError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

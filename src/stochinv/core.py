@@ -50,13 +50,7 @@ from .errors import (
     MaskedPartitionError,
     StructureDefinitionError,
 )
-from .perturb import (
-    GradientVector,
-    ThetaVector,
-    Utilities,
-    as_generator,
-    unit_exponential,
-)
+from .perturb import GradientVector, ThetaVector, Utilities, unit_exponential
 
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
@@ -154,6 +148,9 @@ def _check_partition(parts, K: frozenset) -> None:
     total = 0
     seen = set()
     for P in parts:
+        if not isinstance(P, tuple):
+            raise StructureDefinitionError(
+                f"split produced a partition of type {type(P).__name__}, not a tuple")
         if not P:
             raise StructureDefinitionError("split produced an empty partition")
         total += len(P)
@@ -170,16 +167,13 @@ def _check_shrink(K_next: frozenset, K: frozenset) -> None:
 
 
 def _utility_values(sdef: StructureDefinition, utilities) -> list:
-    if isinstance(utilities, Utilities):
-        if utilities.keys != sdef.key_labels:
-            raise InvalidArgumentError("utility keys do not match the definition")
-        return utilities.values.tolist()
-    values = list(map(float, utilities))
-    if len(values) != sdef.n_keys:
-        raise InvalidArgumentError(
-            f"expected {sdef.n_keys} utility values, got {len(values)}"
-        )
-    return values
+    """``utilities`` as a list; a plain sequence is read as ``Utilities``
+    of ``sdef``'s keys, so it passes the same finite, nonnegative rule."""
+    if not isinstance(utilities, Utilities):
+        utilities = Utilities(sdef.key_labels, utilities)
+    if utilities.keys != sdef.key_labels:
+        raise InvalidArgumentError("utility keys do not match the definition")
+    return utilities.values.tolist()
 
 
 def run_struct(sdef: StructureDefinition, utilities):
@@ -575,7 +569,7 @@ def cond_sample(sdef: StructureDefinition, trace: Trace, theta: ThetaVector, rng
     a sum of terms noise/sum(rates) plus its residual.
     """
     _check_theta(sdef, theta)
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     walk = _walk_of(sdef, trace)
     mask = theta.mask.tolist()
     events = [

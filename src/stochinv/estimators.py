@@ -43,7 +43,7 @@ from .errors import (
     InvalidControlVariateError,
     InvalidParameterError,
 )
-from .perturb import GradientVector, ThetaVector, Utilities, as_generator, sample_utilities
+from .perturb import GradientVector, ThetaVector, Utilities, sample_utilities
 
 SELF_TEST_STEP = 1e-6        # finite-difference step, relative to the utility
 SELF_TEST_TOLERANCE = 1e-4   # allowed gap to the analytic gradient, relative
@@ -168,7 +168,7 @@ def _draws(sdef, theta, loss, n_samples: int, rng):
     the trace they run to, and the loss of the structure."""
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be at least 1")
-    for child in as_generator(rng).spawn(n_samples):
+    for child in np.random.default_rng(rng).spawn(n_samples):
         e = sample_utilities(theta, child)
         x, trace = run_struct(sdef, e)
         yield child, e, trace, _loss_value(loss, x)

@@ -4,8 +4,8 @@ Enumerating every trace of a definition gives the exact distribution: the
 recursion's control flow is replayed, but instead of taking argmins each
 stochastic event branches over every key of its partition with the
 categorical probability the rates imply.  The search is ``core._leaves``,
-which scores each branch by ``core``'s own rules and stops, splits and maps
-each distinct state once however many traces pass through it; each leaf's
+which scores each branch by ``core``'s own rules and splits and maps each
+distinct state once however many traces pass through it; each leaf's
 frames fold with ``core``'s fold.  Everything downstream (exact expected
 losses, exact gradients, goodness-of-fit tests) reduces to sums over the
 enumerated support; ``exact_gradient`` runs the same search again in step

@@ -17,13 +17,6 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidParameterError
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept a Generator, a SeedSequence, or anything ``default_rng`` takes."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def unit_exponential(rng: np.random.Generator, size=None):
     """Unit-rate exponential noise as -log(u), u uniform on (0, 1].
 
@@ -134,7 +127,7 @@ def sample_utilities(theta: ThetaVector, rng) -> Utilities:
 def sample_utilities_matrix(theta: ThetaVector, n_samples: int, rng) -> np.ndarray:
     """``n_samples`` rows of ``sample_utilities`` as an (n_samples, n_keys)
     array.  An unmasked draw that overflows raises, naming its key."""
-    values = unit_exponential(as_generator(rng), (n_samples, len(theta.keys)))
+    values = unit_exponential(np.random.default_rng(rng), (n_samples, len(theta.keys)))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(theta.theta)
         scale[theta.mask] = 0.0  # a finite draw times 0.0 is exactly 0.0

@@ -259,18 +259,38 @@ def _reached(root, edges) -> set:
     return reached
 
 
-def _graph_of(spec):
-    """Parse the graph file a config spec names in ``structure.graph``."""
-    return parse_graph_file(as_path(spec["graph"], "structure.graph"))
+def _add_edge(seen: set, u, v, known, directed: bool) -> None:
+    """The one edge rule of every graph reader: add the edge ``(u, v)`` to
+    ``seen`` if both endpoints are in ``known``, it is no undirected
+    self-loop and it is not in ``seen`` yet.  An undirected edge is stored
+    smaller endpoint first."""
+    if u not in known or v not in known:
+        raise InvalidParameterError(f"edge {bounded_repr((u, v))} has unknown endpoint")
+    if u == v and not directed:
+        raise InvalidParameterError(f"self-loop on vertex {bounded_repr(u)}")
+    edge = (u, v) if directed or u <= v else (v, u)
+    if edge in seen:
+        raise InvalidParameterError(f"duplicate edge {bounded_repr(edge)}")
+    seen.add(edge)
+
+
+def _graph_of(cls, spec, directed: bool):
+    """The graph file that ``structure.graph`` names, as (n_vertices, edges,
+    root); ``cls`` needs it directed if ``directed``, else undirected."""
+    is_directed, n_vertices, edges, root = parse_graph_file(
+        as_path(spec["graph"], "structure.graph"))
+    if is_directed != directed:
+        raise ConfigError(f"{cls.kind} needs {'a directed' if directed else 'an undirected'} graph")
+    return n_vertices, edges, root
 
 
 def parse_graph_file(path: str):
     """Parse the line-oriented graph format.
 
     Header ``graph <directed|undirected> <num_vertices>``, one ``u v`` edge
-    per line with 0-based ids (u != v if undirected), at most one ``root r``
-    line for directed graphs.  Blank lines and ``#`` comments are ignored.
-    A file with fewer than ``num_vertices - 1`` edges, which no spanning
+    per line with 0-based ids, each checked by ``_add_edge``, at most one
+    ``root r`` line for directed graphs.  Blank lines and ``#`` comments are
+    ignored.  A file with fewer than ``num_vertices - 1`` edges, which no spanning
     tree or arborescence can use, is rejected before any work per vertex.
     Returns (directed, n_vertices, edges, root).
     """
@@ -325,15 +345,10 @@ def parse_graph_file(path: str):
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: edge endpoints are not integers")
-        for x in (u, v):
-            if not 0 <= x < n_vertices:
-                raise ConfigError(f"{path}:{lineno}: vertex id {bounded_repr(x)} out of range")
-        if u == v and not directed:
-            raise ConfigError(f"{path}:{lineno}: self-loop on vertex {bounded_repr(u)}")
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate edge {bounded_repr((u, v))}")
-        seen.add(key)
+        try:
+            _add_edge(seen, u, v, range(n_vertices), directed)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
         edges.append((u, v))
     if directed is None:
         raise ConfigError(f"{path}: empty graph file")
@@ -363,19 +378,10 @@ class SpanningTree(_SetValued):
         if not self.vertices:
             raise InvalidParameterError("need at least one vertex")
         position = {x: i for i, x in enumerate(self.vertices)}
-        seen = set()
-        labels = []
+        labels = set()
         for u, v in edges:
-            if u == v:
-                raise InvalidParameterError(f"self-loop on vertex {bounded_repr(u)}")
-            if u not in position or v not in position:
-                raise InvalidParameterError(f"edge {bounded_repr((u, v))} has unknown endpoint")
-            edge = (u, v) if u <= v else (v, u)
-            if edge in seen:
-                raise InvalidParameterError(f"duplicate edge {bounded_repr(edge)}")
-            seen.add(edge)
-            labels.append(edge)
-        reached = _reached(self.vertices[0], labels + [(v, u) for u, v in labels])
+            _add_edge(labels, u, v, position, False)
+        reached = _reached(self.vertices[0], [*labels, *((v, u) for u, v in labels)])
         apart = [x for x in self.vertices if x not in reached]
         if apart:
             raise InfeasibleGraphError(f"graph is disconnected: vertices {bounded_repr(apart)} are "
@@ -386,9 +392,7 @@ class SpanningTree(_SetValued):
 
     @classmethod
     def from_config(cls, spec):
-        directed, n_vertices, edges, _root = _graph_of(spec)
-        if directed:
-            raise ConfigError(f"{cls.kind} needs an undirected graph")
+        n_vertices, edges, _root = _graph_of(cls, spec, False)
         return cls(range(n_vertices), edges)
 
     def initial_aux(self):
@@ -444,17 +448,10 @@ class Arborescence(_SetValued):
             raise InvalidParameterError(f"root {bounded_repr(root)} is not a vertex")
         self.vertices, self.root = tuple(sorted(known)), root
         seen = set()
-        labels = []
         for u, v in edges:
-            if u not in known or v not in known:
-                raise InvalidParameterError(f"edge {bounded_repr((u, v))} has unknown endpoint")
-            if (u, v) in seen:
-                raise InvalidParameterError(f"duplicate edge {bounded_repr((u, v))}")
-            seen.add((u, v))
-            if v == root or u == v:
-                continue  # can never join an arborescence
-            labels.append((u, v))
-        self.key_labels = tuple(sorted(labels))
+            _add_edge(seen, u, v, known, True)
+        # An edge into the root or a self-loop can never join an arborescence.
+        self.key_labels = tuple(sorted((u, v) for u, v in seen if v != root and u != v))
         self._tail = [u for u, _ in self.key_labels]
         self._head = [v for _, v in self.key_labels]
         reached = _reached(root, self.key_labels)
@@ -465,9 +462,7 @@ class Arborescence(_SetValued):
 
     @classmethod
     def from_config(cls, spec):
-        directed, n_vertices, edges, root = _graph_of(spec)
-        if not directed:
-            raise ConfigError(f"{cls.kind} needs a directed graph")
+        n_vertices, edges, root = _graph_of(cls, spec, True)
         if "root" in spec:
             root = as_int(spec["root"], "structure.root")
         if root is None:
@@ -561,13 +556,14 @@ def hamming_distance(a, b) -> int:
 
     Set-valued structures compare by symmetric difference, permutations
     position by position, binary trees by their (parent, child, side)
-    link sets.
+    link sets.  A tree compares only with a tree.
     """
-    if isinstance(a, TreeNode) and isinstance(b, TreeNode):
+    a_tree, b_tree = isinstance(a, TreeNode), isinstance(b, TreeNode)
+    if a_tree and b_tree:
         return len(_tree_links(a) ^ _tree_links(b))
     if isinstance(a, (frozenset, set)) and isinstance(b, (frozenset, set)):
         return len(frozenset(a) ^ frozenset(b))
-    if isinstance(a, tuple) and isinstance(b, tuple):
+    if isinstance(a, tuple) and isinstance(b, tuple) and not (a_tree or b_tree):
         if len(a) != len(b):
             raise InvalidArgumentError("sequences of different length")
         return sum(x != y for x, y in zip(a, b))

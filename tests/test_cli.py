@@ -1210,6 +1210,10 @@ class TestConfigHandling:
                  "keys 0 and 1")
                 for command in ("enumerate", "sample")
             ],
+            # A format that is not absent or null fell back to the default:
+            # enumerate exited 0 with nothing on stderr.
+            *[("enumerate", {"format": value}, None, "output format")
+              for value in ({}, [], 0, False, "")],
         ],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, fields, theta_doc,
@@ -1231,6 +1235,15 @@ class TestConfigHandling:
         assert len(lines) == 1 and lines[0].startswith("error:")
         name = re.escape(name.replace("TMP", str(tmp_path)))
         assert re.search(rf"(?<!\w){name}(?!\w)", lines[0])
+
+    @pytest.mark.parametrize("command", ["sample", "condcheck"])
+    def test_draw_count_too_large_to_allocate_is_exit_2(self, tmp_path, capsys, command):
+        # A 21-line (sample) or 13-line (condcheck) numpy traceback, exit 1.
+        # 2.13 PiB is past the address space, so nothing is allocated.
+        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=0)
+        assert run_cli(command, "--config", cfg, "-n", "100000000000000") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
 
     @pytest.mark.parametrize("fields, theta_doc, name, long", LONG_VALUE_CASES,
                              ids=[case[2].replace(" ", "_") for case in LONG_VALUE_CASES])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stochinv import (
     Arborescence,
     InvalidArgumentError,
+    InvalidParameterError,
     InvalidTraceError,
     SpanningTree,
     StructureDefinitionError,
@@ -268,13 +269,19 @@ class TestArgumentChecks:
     @pytest.mark.parametrize(
         "utilities, match",
         [(Utilities((0, 1, 3), [1.0, 2.0, 3.0]), "utility keys"),
-         ([1.0, 2.0], "expected 3 utility values, got 2"),
-         ([1.0, 2.0, 3.0, 4.0], "expected 3 utility values, got 4")],
+         ([1.0, 2.0], r"expected 3 values, got shape \(2,\)"),
+         ([1.0, 2.0, 3.0, 4.0], r"expected 3 values, got shape \(4,\)")],
         ids=["other_keys", "short", "long"],
     )
     def test_run_struct_rejects_mismatched_utilities(self, utilities, match):
         with pytest.raises(InvalidArgumentError, match=match):
             run_struct(self.SDEF, utilities)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_run_struct_checks_a_plain_list_as_utilities(self, bad):
+        # A plain list skipped the utility rule: [nan, 1, 2] ran to {0}.
+        with pytest.raises(InvalidParameterError, match=r"on key 0$"):
+            run_struct(self.SDEF, [bad, 1.0, 2.0])
 
     def test_trace_level_with_another_event_count_raises(self):
         theta = seeded_theta(self.SDEF, 15)
@@ -624,6 +631,12 @@ class _NonShrinkingMap(TopK):
         return K, R
 
 
+class _ListPartitions(TopK):
+    # Lists ran through run_struct, but enumeration hashes each partition.
+    def split(self, K, R):
+        return [sorted(K)]
+
+
 class _ListState(TopK):
     # R is a one-element list: unhashable.
     def initial_aux(self):
@@ -636,7 +649,7 @@ class _ListState(TopK):
 class TestDefinitionContracts:
     @pytest.mark.parametrize(
         "broken",
-        [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap],
+        [_EmptyPartition, _OverlappingPartitions, _NonShrinkingMap, _ListPartitions],
     )
     @pytest.mark.parametrize("entry", ["run_struct", "enumerate_distribution"])
     def test_both_entry_points_raise_the_same_error(self, broken, entry):

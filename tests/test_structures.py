@@ -9,6 +9,7 @@ definitions validate each other through an independent route.
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from stochinv import (
     run_struct,
     sample_utilities,
 )
+from stochinv.errors import ConfigError
+from stochinv.structures import parse_graph_file
 from conftest import complete_digraph, complete_graph, seeded_theta, small_instances
 
 
@@ -699,6 +702,36 @@ def test_graph_kinds_accept_exactly_the_enumerated_values(graph):
         _assert_valid_exactly_on_the_support(SpanningTree(range(n), edges))
 
 
+class TestEdgeRule:
+    """The graph file and both graph kinds apply one edge rule: known
+    endpoints, no undirected self-loop, no repeat (an undirected edge read
+    smaller endpoint first).  The file names the line of the edge."""
+
+    @pytest.mark.parametrize("edges, bad_line, message, directed_rejects", [
+        ([(0, 1), (0, 9), (1, 2)], 3, r"edge \(0, 9\) has unknown endpoint", True),
+        ([(0, 1), (1, 1), (1, 2)], 3, "self-loop on vertex 1", False),
+        ([(0, 1), (0, 2), (0, 1)], 4, r"duplicate edge \(0, 1\)", True),
+        ([(0, 1), (0, 2), (1, 0)], 4, r"duplicate edge \(0, 1\)", False),
+    ], ids=["unknown_endpoint", "undirected_self_loop", "repeat", "reversed_repeat"])
+    def test_every_reader_rejects_the_same_edge(self, tmp_path, edges, bad_line, message,
+                                                directed_rejects):
+        lines = "".join(f"{u} {v}\n" for u, v in edges)
+        for directed, build in ((False, lambda: SpanningTree(range(3), edges)),
+                                (True, lambda: Arborescence(range(3), edges, 0))):
+            path = tmp_path / f"directed_{directed}.txt"
+            path.write_text(f"graph {'directed' if directed else 'undirected'} 3\n{lines}")
+            if directed and not directed_rejects:
+                # A directed self-loop or reversed edge is a distinct edge.
+                assert parse_graph_file(str(path))[2] == edges
+                assert build().key_labels
+                continue
+            where = re.escape(f"{path}:{bad_line}: ")
+            with pytest.raises(ConfigError, match=rf"^{where}{message}$"):
+                parse_graph_file(str(path))
+            with pytest.raises(InvalidParameterError, match=rf"^{message}$"):
+                build()
+
+
 class TestHamming:
     def test_sets(self):
         assert hamming_distance(frozenset({1, 2}), frozenset({2, 3})) == 2
@@ -719,7 +752,12 @@ class TestHamming:
     @pytest.mark.parametrize("a, b, names", [([0, 1], [1, 0], "list and list"),
                                              ((0, 1), frozenset({0, 1}), "tuple and frozenset"),
                                              (frozenset({0, 1}), (0, 1), "frozenset and tuple"),
-                                             (None, None, "NoneType and NoneType")])
+                                             (None, None, "NoneType and NoneType"),
+                                             # A tree is a tuple: a plain tuple compared as 0.
+                                             (TreeNode(0, None, None), (0, None, None),
+                                              "TreeNode and tuple"),
+                                             ((0, None, None), TreeNode(0, None, None),
+                                              "tuple and TreeNode")])
     def test_values_that_cannot_be_compared_raise(self, a, b, names):
         with pytest.raises(InvalidArgumentError, match=f"cannot compare values of types {names}"):
             hamming_distance(a, b)
