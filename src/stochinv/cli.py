@@ -21,8 +21,8 @@ one cell rule, ``_cell``; ``sample`` writes JSON as JSON lines.
 ``hamming_loss`` is the loss of ``variance`` and ``fit``.
 Outputs are machine-readable (JSON or CSV with 17 significant digits) and
 byte-identical under a fixed seed.  Exit codes: 0 success, 2 config or
-input error (a draw count too large to allocate among them), 1 internal
-invariant violation.
+input error (a count past ``COUNT_LIMIT`` or too large to allocate among
+them), 1 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .errors import (
     InvalidControlVariateError,
     InvalidParameterError,
     StochinvError,
+    as_count,
     as_float,
     as_int,
     as_output_path,
@@ -200,7 +201,7 @@ def build_estimator_runner(spec: dict, field: str, n: int, sdef):
     if kind == "t_reinforce":
         return functools.partial(estimators.grad_t_reinforce, n_samples=n, keep_per_sample=True)
     if kind in ("t_reinforce_plus", "e_reinforce_plus"):
-        k = as_int(spec.get("K", 4), f"{field}.K", least=2)
+        k = as_count(spec.get("K", 4), f"{field}.K", least=2)
         if n % k:
             raise ConfigError(
                 f"n_samples = {n} is not a multiple of {field}.K = {k}, "
@@ -329,7 +330,7 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     specs = config.get("estimators")
     if not isinstance(specs, list) or not specs:
         raise ConfigError("variance needs an 'estimators' list in the config")
-    budget = as_int(config.get("n_samples", 1000), "n_samples", least=1)
+    budget = as_count(config.get("n_samples", 1000), "n_samples", least=1)
     runners = [
         build_estimator_runner(spec, f"estimators[{i}]", budget, sdef)
         for i, spec in enumerate(specs)
@@ -343,11 +344,10 @@ def cmd_variance(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         except InvalidControlVariateError as exc:
             raise ConfigError(f"estimators[{i}].control_variate: {exc}") from exc
         per = report.per_sample
-        n_rows = per.shape[0]
-        mean = per.mean(axis=0)
-        var = per.var(axis=0, ddof=1) if n_rows > 1 else np.zeros(per.shape[1])
-        stderr = np.sqrt(var / n_rows)
-        for row in zip(sdef.key_labels, mean.tolist(), var.tolist(), stderr.tolist()):
+        var = per.var(axis=0, ddof=1) if len(per) > 1 else np.zeros(per.shape[1])
+        stderr = np.sqrt(var / len(per))
+        for row in zip(sdef.key_labels, report.gradient.values.tolist(), var.tolist(),
+                       stderr.tolist()):
             records.append(dict(zip(header, (spec["kind"], *row))))
     return _render(fmt, header, records)
 
@@ -384,7 +384,7 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
     work_ss, track_ss = streams
     fit = _object(config.get("fit", {}), "fit")
     loss = hamming_loss(sdef, fit)
-    track_samples = as_int(fit.get("track_samples", 32), "fit.track_samples", least=2)
+    track_samples = as_count(fit.get("track_samples", 32), "fit.track_samples", least=2)
     # The final theta goes to fit.theta_out, else next to the output file.
     out = config.get("out")
     if fit.get("theta_out") is not None:
@@ -397,15 +397,15 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
         theta_out = None
 
     opt_spec = _object(config.get("optimizer", {}), "optimizer")
-    iterations = as_int(opt_spec.get("iterations", 1000), "optimizer.iterations", least=0)
+    iterations = as_count(opt_spec.get("iterations", 1000), "optimizer.iterations", least=0)
     optimizer = _Adam(opt_spec)
     est_spec = _object(
         config.get("estimator", {"kind": "t_reinforce_plus", "K": 4}), "estimator"
     )
     # The budget per iteration defaults to K, one leave-one-out batch.
     budget_field = "estimator.n_samples" if "n_samples" in est_spec else "estimator.K"
-    per_iter_budget = as_int(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field,
-                             least=1)
+    per_iter_budget = as_count(est_spec.get("n_samples", est_spec.get("K", 4)), budget_field,
+                               least=1)
     runner = build_estimator_runner(est_spec, "estimator", per_iter_budget, sdef)
     max_traces = resolve_max_traces(config)
 
@@ -428,12 +428,9 @@ def cmd_fit(config: dict, sdef, theta, streams, fmt: str, n) -> str:
             exp_loss = table.expected(current, per_trace_losses)
             stderr = 0.0
         else:
-            draws = np.array(
-                [
-                    loss(run_struct(sdef, sample_utilities(current, track_rng))[0])
-                    for _ in range(track_samples)
-                ]
-            )
+            rows = sample_utilities_matrix(current, track_samples, track_rng)
+            draws = np.array([loss(run_struct(sdef, Utilities(current.keys, row))[0])
+                              for row in rows])
             exp_loss = float(draws.mean())
             stderr = float(draws.std(ddof=1) / math.sqrt(track_samples))
         if it == iterations:
@@ -528,7 +525,7 @@ def main(argv=None) -> int:
         out = config.get("out")
         if out is not None:
             out = as_output_path(out, "out")
-        n = as_int(args.num, "-n", least=0) if command.takes_n else None
+        n = as_count(args.num, "-n", least=0) if command.takes_n else None
         # Only an absent or null format means the command's default.
         fmt = args.format or config.get("format")
         if fmt is None:
@@ -548,8 +545,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # A draw count too large to allocate; numpy's message names the size.
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        # A count too large to allocate; numpy's message names the size, Python's is empty.
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except StochinvError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -352,10 +352,15 @@ def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
     walk = trace._walk
     if walk is not None and walk.sdef is sdef:
         return walk
-    levels = iter(trace.levels)
+    try:
+        levels = [[(pi, w) for pi, w in level] for level in trace.levels]
+    except (TypeError, ValueError):
+        raise InvalidTraceError("a trace is a sequence of levels, each a sequence of"
+                                " (partition index, winner) pairs") from None
+    remaining = iter(levels)
 
     def recorded(parts):
-        level = next(levels, None)
+        level = next(remaining, None)
         if level is None:
             raise InvalidTraceError("trace is shorter than the recursion")
         if len(level) != len(parts):
@@ -368,7 +373,7 @@ def _walk_of(sdef: StructureDefinition, trace: Trace) -> _Walk:
         return ([w for _pi, w in level],)
 
     walk = next(_walks(sdef, recorded))
-    if len(walk.frames) != len(trace.levels):
+    if len(walk.frames) != len(levels):
         raise InvalidTraceError("trace is longer than the recursion")
     return walk
 

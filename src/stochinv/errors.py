@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all stochinv modules, config field parsers
-(a field's lower bound is ``as_int``'s ``least``) and the bounded repr."""
+(a field's lower bound is ``as_int``'s ``least``, a count's upper bound
+``COUNT_LIMIT``) and the bounded repr."""
 
 import math
 import os
@@ -89,6 +90,20 @@ def as_int(value, field: str, least=None) -> int:
                 return number
             raise ConfigError(f"{field} must be at least {least}, got {number}")
     raise ConfigError(f"{field} must be an integer, got {bounded_repr(value)}")
+
+
+# The most a config count takes: a (count, count) float64 table stays under
+# numpy's 2**63-byte limit, and a count of child streams under the 2**31 of
+# numpy's spawn, so a larger count fails here rather than in numpy.
+COUNT_LIMIT = 10**9
+
+
+def as_count(value, field: str, least=None) -> int:
+    """``value`` as ``as_int`` reads it, of at most ``COUNT_LIMIT``."""
+    number = as_int(value, field, least)
+    if number > COUNT_LIMIT:
+        raise ConfigError(f"{field} must be at most {COUNT_LIMIT}, got {bounded_repr(number)}")
+    return number
 
 
 def as_float(value, field: str) -> float:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -162,16 +163,36 @@ def _report(theta, contributions, keep) -> EstimatorReport:
     )
 
 
+def _check_integer(value, name: str) -> None:
+    """Raise unless ``value`` is an integer (numpy's too), naming ``name``:
+    numpy's ``spawn`` would draw 2 samples for 2.5 and 1 for True."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _draws(sdef, theta, loss, n_samples: int, rng):
     """Yield ``(child, e, trace, loss value)`` for each of ``n_samples``
     child streams spawned from ``rng``: the utilities drawn from the child,
     the trace they run to, and the loss of the structure."""
+    _check_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be at least 1")
     for child in np.random.default_rng(rng).spawn(n_samples):
         e = sample_utilities(theta, child)
         x, trace = run_struct(sdef, e)
         yield child, e, trace, _loss_value(loss, x)
+
+
+def _scored_draws(sdef, theta, loss, n_samples: int, space: str, rng):
+    """The losses, shape (n_samples,), and the scores, shape (n_samples,
+    n_keys), of ``n_samples`` draws: the trace score for space="trace",
+    the utility score for space="utility"."""
+    losses, scores = [], []
+    for _child, e, trace, value in _draws(sdef, theta, loss, n_samples, rng):
+        losses.append(value)
+        scores.append(trace_score(sdef, trace, theta).values if space == "trace"
+                      else utility_score(theta, e))
+    return np.array(losses), np.array(scores)
 
 
 def grad_e_reinforce(
@@ -183,11 +204,8 @@ def grad_e_reinforce(
     keep_per_sample: bool = False,
 ) -> EstimatorReport:
     """REINFORCE with the utility-space score: mean of L(X(e)) * score_E(e)."""
-    contributions = [
-        value * utility_score(theta, e)
-        for _child, e, _trace, value in _draws(sdef, theta, loss, n_samples, rng)
-    ]
-    return _report(theta, contributions, keep_per_sample)
+    losses, scores = _scored_draws(sdef, theta, loss, n_samples, "utility", rng)
+    return _report(theta, losses[:, None] * scores, keep_per_sample)
 
 
 def grad_t_reinforce(
@@ -199,11 +217,8 @@ def grad_t_reinforce(
     keep_per_sample: bool = False,
 ) -> EstimatorReport:
     """REINFORCE with the trace score: mean of L(X(t)) * score_T(t)."""
-    contributions = [
-        value * trace_score(sdef, trace, theta).values
-        for _child, _e, trace, value in _draws(sdef, theta, loss, n_samples, rng)
-    ]
-    return _report(theta, contributions, keep_per_sample)
+    losses, scores = _scored_draws(sdef, theta, loss, n_samples, "trace", rng)
+    return _report(theta, losses[:, None] * scores, keep_per_sample)
 
 
 def grad_loo(
@@ -223,27 +238,19 @@ def grad_loo(
     ``per_sample`` rows are per-batch estimates; identical losses within a
     batch give an exactly zero batch estimate.
     """
+    _check_integer(k_samples, "k_samples")
     if k_samples < 2:
         raise InvalidParameterError("leave-one-out needs at least 2 samples")
     if space not in ("trace", "utility"):
         raise InvalidParameterError(f"unknown score space {space!r}")
+    _check_integer(n_batches, "n_batches")
     if n_batches < 1:
         raise InvalidParameterError("n_batches must be at least 1")
-    draws = _draws(sdef, theta, loss, n_batches * k_samples, rng)
-    batch_estimates = []
-    for _b in range(n_batches):
-        losses = np.empty(k_samples)
-        scores = np.empty((k_samples, len(theta.keys)))
-        # range comes first, so zip takes exactly k_samples draws.
-        for j, (_child, e, trace, value) in zip(range(k_samples), draws):
-            losses[j] = value
-            if space == "trace":
-                scores[j] = trace_score(sdef, trace, theta).values
-            else:
-                scores[j] = utility_score(theta, e)
-        centered = losses - losses.mean()
-        batch_estimates.append(centered @ scores / (k_samples - 1))
-    return _report(theta, batch_estimates, keep_per_sample)
+    losses, scores = _scored_draws(sdef, theta, loss, n_batches * k_samples, space, rng)
+    losses = losses.reshape(n_batches, 1, k_samples)
+    scores = scores.reshape(n_batches, k_samples, -1)
+    centered = losses - losses.mean(axis=2, keepdims=True)
+    return _report(theta, (centered @ scores)[:, 0] / (k_samples - 1), keep_per_sample)
 
 
 def grad_relax(

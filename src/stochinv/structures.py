@@ -34,6 +34,7 @@ from .errors import (
     InfeasibleGraphError,
     InvalidArgumentError,
     InvalidParameterError,
+    as_count,
     as_int,
     as_path,
     bounded_repr,
@@ -90,7 +91,7 @@ class TopK(_SetValued):
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_int(spec["d"], "structure.d"), as_int(spec["k"], "structure.k"))
+        return cls(as_count(spec["d"], "structure.d"), as_count(spec["k"], "structure.k"))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -123,7 +124,7 @@ class Argsort(StructureDefinition):
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_int(spec["d"], "structure.d"))
+        return cls(as_count(spec["d"], "structure.d"))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -158,7 +159,7 @@ class Matching(_SetValued):
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_int(spec["n"], "structure.n"))
+        return cls(as_count(spec["n"], "structure.n"))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -198,7 +199,7 @@ class BinaryTree(StructureDefinition):
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_int(spec["n"], "structure.n"))
+        return cls(as_count(spec["n"], "structure.n"))
 
     def initial_aux(self):
         return ((0, self.n - 1),)

@@ -103,6 +103,54 @@ LONG_VALUE_CASES = [
 ]
 
 
+TOP_K_3 = {"kind": "top_k", "d": 3, "k": 1}
+
+
+def _past_limit(field, value):
+    return f"error: {field} must be at most 1000000000, got {value}"
+
+
+# (command, config, -n, the start of the one stderr line) per count too large
+# for the machine.  Below the count limit, a (10**9, 10**6) table is 7.11 PiB,
+# past the address space, so nothing is allocated.  Above it, each case but
+# two exited 1 with a numpy or Python traceback, and fit's tracking loop over
+# 10**30 draws never ended; -n 10**14 exited 2 with numpy's out-of-memory
+# message, and d = 10**18 with an empty one.
+TOO_LARGE_COUNTS = {
+    "sample": ("sample", {"structure": {"kind": "top_k", "d": 10**6, "k": 1}}, 10**9,
+               "error: out of memory: Unable to allocate"),
+    "condcheck": ("condcheck", {"structure": {"kind": "top_k", "d": 10**6, "k": 1}}, 10**9,
+                  "error: out of memory: Unable to allocate"),
+    "sample_n_10**14": ("sample", {"structure": TOP_K_3}, 10**14, _past_limit("-n", 10**14)),
+    "sample_n_10**18": ("sample", {"structure": TOP_K_3}, 10**18, _past_limit("-n", 10**18)),
+    "sample_n_10**19": ("sample", {"structure": TOP_K_3}, 10**19, _past_limit("-n", 10**19)),
+    "condcheck_n_10**18": ("condcheck", {"structure": TOP_K_3}, 10**18,
+                           _past_limit("-n", 10**18)),
+    **{f"variance_n_samples_{text}": (
+        "variance", {"structure": TOP_K_3, "n_samples": n,
+                     "estimators": [{"kind": "e_reinforce"}]}, None,
+        _past_limit("n_samples", n)) for text, n in [("2**40", 2**40), ("10**30", 10**30)]},
+    "variance_K_10**30": ("variance", {"structure": TOP_K_3, "n_samples": 10**30,
+                                       "estimators": [{"kind": "t_reinforce_plus",
+                                                       "K": 10**30}]},
+                          None, _past_limit("n_samples", 10**30)),
+    "fit_n_samples_10**30": ("fit", {"structure": TOP_K_3, "fit": {"target": [0]},
+                                     "estimator": {"kind": "t_reinforce_plus", "K": 2,
+                                                   "n_samples": 10**30}},
+                             None, _past_limit("estimator.n_samples", 10**30)),
+    "fit_track_samples_10**30": ("fit", {"structure": TOP_K_3, "max_traces": 0,
+                                         "fit": {"target": [0], "track_samples": 10**30}},
+                                 None, _past_limit("fit.track_samples", 10**30)),
+    **{f"enumerate_{kind}_{field}_{text}": (
+        "enumerate", {"structure": {"kind": kind, field: n, **extra}}, None,
+        _past_limit(f"structure.{field}", n))
+       for kind, field, text, n, extra in [("top_k", "d", "2**63", 2**63, {"k": 1}),
+                                           ("top_k", "d", "10**18", 10**18, {"k": 1}),
+                                           ("argsort", "d", "10**30", 10**30, {}),
+                                           ("binary_tree", "n", "10**30", 10**30, {})]},
+}
+
+
 def _put_value(doc, value):
     """``doc`` with each "VALUE" string in it, at any depth of objects,
     replaced by ``value``."""
@@ -1236,14 +1284,32 @@ class TestConfigHandling:
         name = re.escape(name.replace("TMP", str(tmp_path)))
         assert re.search(rf"(?<!\w){name}(?!\w)", lines[0])
 
-    @pytest.mark.parametrize("command", ["sample", "condcheck"])
-    def test_draw_count_too_large_to_allocate_is_exit_2(self, tmp_path, capsys, command):
-        # A 21-line (sample) or 13-line (condcheck) numpy traceback, exit 1.
-        # 2.13 PiB is past the address space, so nothing is allocated.
-        cfg = write_config(tmp_path, structure={"kind": "top_k", "d": 3, "k": 1}, seed=0)
-        assert run_cli(command, "--config", cfg, "-n", "100000000000000") == 2
+    @pytest.mark.parametrize("command, config, n, line", TOO_LARGE_COUNTS.values(),
+                             ids=TOO_LARGE_COUNTS.keys())
+    def test_draw_count_too_large_to_allocate_is_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                         command, config, n, line):
+        # A row-by-row draw raises, so a loop over a huge count fails at once
+        # instead of running for ever.
+        def one_row(*args):
+            raise AssertionError("drew one utility row")
+
+        monkeypatch.setattr(cli, "sample_utilities", one_row)
+        cfg = write_config(tmp_path, seed=0, **config)
+        extra = [] if n is None else ["-n", str(n)]
+        assert run_cli(command, "--config", cfg, *extra) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: out of memory: ")
+        assert len(lines) == 1 and lines[0].startswith(line)
+
+    def test_memory_error_without_a_message_is_one_plain_line(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # Python's own MemoryError has no message: the line ended in a colon.
+        def exhausted(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "sample_utilities_matrix", exhausted)
+        cfg = write_config(tmp_path, structure=TOP_K_3, seed=0)
+        assert run_cli("sample", "--config", cfg, "-n", "5") == 2
+        assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
     @pytest.mark.parametrize("fields, theta_doc, name, long", LONG_VALUE_CASES,
                              ids=[case[2].replace(" ", "_") for case in LONG_VALUE_CASES])

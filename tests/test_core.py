@@ -288,6 +288,18 @@ class TestArgumentChecks:
         with pytest.raises(InvalidTraceError, match="level has 2 events, split produced 1"):
             trace_log_prob(self.SDEF, Trace((((0, 0), (1, 1)),)), theta)
 
+    @pytest.mark.parametrize("levels", [(5,), ((0,),), 5],
+                             ids=["level_not_a_sequence", "event_not_a_pair",
+                                  "levels_not_a_sequence"])
+    @pytest.mark.parametrize("call, extra", [(trace_log_prob, ()), (trace_score, ()),
+                                             (cond_sample, (0,))],
+                             ids=["trace_log_prob", "trace_score", "cond_sample"])
+    def test_malformed_hand_built_trace_raises(self, call, extra, levels):
+        # Each raised a bare TypeError from len, unpacking or iteration.
+        theta = seeded_theta(self.SDEF, 16)
+        with pytest.raises(InvalidTraceError, match="a trace is a sequence of levels"):
+            call(self.SDEF, Trace(levels), theta, *extra)
+
     @pytest.mark.parametrize("call, extra", [(trace_log_prob, ()), (trace_score, ()),
                                              (cond_sample, (0,))],
                              ids=["trace_log_prob", "trace_score", "cond_sample"])

@@ -133,6 +133,38 @@ class TestArgumentChecks:
         with pytest.raises(InvalidParameterError, match=f"{match} must be at least 1"):
             estimate(sdef, ThetaVector.constant(sdef.key_labels))
 
+    @pytest.mark.parametrize(
+        "estimate, name",
+        [(lambda sdef, theta, c: grad_e_reinforce(sdef, theta, len, c, 0), "n_samples"),
+         (lambda sdef, theta, c: grad_t_reinforce(sdef, theta, len, c, 0), "n_samples"),
+         (lambda sdef, theta, c: grad_relax(sdef, theta, len, zero_control_variate(), 0,
+                                            n_samples=c), "n_samples"),
+         (lambda sdef, theta, c: grad_loo(sdef, theta, len, c, "trace", 0), "k_samples"),
+         (lambda sdef, theta, c: grad_loo(sdef, theta, len, 2, "utility", 0, n_batches=c),
+          "n_batches")],
+        ids=["e_reinforce", "t_reinforce", "relax", "loo_k_samples", "loo_n_batches"],
+    )
+    @pytest.mark.parametrize("count", [2.5, np.float64(3.7), True],
+                             ids=["float", "numpy_float", "bool"])
+    def test_count_that_is_no_integer_raises(self, estimate, name, count):
+        # numpy's spawn drew 2 samples for 2.5, 3 for 3.7 and 1 for True;
+        # grad_loo's own arithmetic raised a bare TypeError on 2.5.
+        sdef = TopK(3, 1)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer, got "):
+            estimate(sdef, ThetaVector.constant(sdef.key_labels), count)
+
+    def test_numpy_integer_counts_draw_as_ints_do(self):
+        sdef = TopK(3, 1)
+        theta, loss = seeded_theta(sdef, 7), subset_loss([0])
+        for estimate in (
+            lambda c, b: grad_e_reinforce(sdef, theta, loss, c * b, 3, keep_per_sample=True),
+            lambda c, b: grad_loo(sdef, theta, loss, c, "trace", 3, n_batches=b,
+                                  keep_per_sample=True),
+        ):
+            expected = estimate(2, 3).per_sample
+            actual = estimate(np.int64(2), np.int32(3)).per_sample
+            assert actual.tobytes() == expected.tobytes()
+
 
 class TestControlVariates:
     def test_quadratic_self_test_passes(self):
