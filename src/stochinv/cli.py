@@ -173,7 +173,7 @@ def hamming_loss(sdef, fit):
     else:
         try:
             target = sdef.decode_value(fit["target"])
-        except (TypeError, ValueError, ConfigError, RecursionError) as exc:
+        except (TypeError, ValueError, ConfigError, InvalidParameterError, RecursionError) as exc:
             raise ConfigError(f"malformed fit.target: {exc}") from exc
         if not sdef.validate_value(target):
             raise ConfigError(f"fit.target is not a valid structure: {bounded_repr(fit['target'])}"
@@ -467,7 +467,7 @@ def cmd_condcheck(config: dict, sdef, theta, streams, fmt: str, n: int) -> str:
     records = [{"field": "roundtrip_failures", "value": failures}]
     for i, label in enumerate(sdef.key_labels):
         p = None
-        if not theta.mask[i] and n >= 100:
+        if not theta.mask[i] and n >= oracle.KS_MIN_SAMPLES:
             _stat, p = oracle.ks_exponential(cond_values[:, i], rates[i])
         records.append({"field": "ks_pvalue", "key": label, "value": p})
     pvalues = {_compact_json(r["key"]): r["value"] for r in records[1:]}

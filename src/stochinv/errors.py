@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all stochinv modules, config field parsers
-(a field's lower bound is ``as_int``'s ``least``, a count's upper bound
-``COUNT_LIMIT``) and the bounded repr."""
+"""Exception hierarchy shared by all stochinv modules, the bounded repr and
+the value readers, one rule for a config field and a library argument alike:
+``least`` bounds an integer below, ``COUNT_LIMIT`` a count above, and a bad
+value raises InvalidParameterError (ConfigError: a config's shape or files)."""
 
 import math
 import os
@@ -88,21 +89,22 @@ def as_int(value, field: str, least=None) -> int:
         else:
             if least is None or number >= least:
                 return number
-            raise ConfigError(f"{field} must be at least {least}, got {number}")
-    raise ConfigError(f"{field} must be an integer, got {bounded_repr(value)}")
+            raise InvalidParameterError(f"{field} must be at least {least}, got {number}")
+    raise InvalidParameterError(f"{field} must be an integer, got {bounded_repr(value)}")
 
 
-# The most a config count takes: a (count, count) float64 table stays under
+# The most a count takes: a (count, count) float64 table stays under
 # numpy's 2**63-byte limit, and a count of child streams under the 2**31 of
 # numpy's spawn, so a larger count fails here rather than in numpy.
 COUNT_LIMIT = 10**9
 
 
-def as_count(value, field: str, least=None) -> int:
+def as_count(value, field: str, least=0) -> int:
     """``value`` as ``as_int`` reads it, of at most ``COUNT_LIMIT``."""
     number = as_int(value, field, least)
     if number > COUNT_LIMIT:
-        raise ConfigError(f"{field} must be at most {COUNT_LIMIT}, got {bounded_repr(number)}")
+        raise InvalidParameterError(
+            f"{field} must be at most {COUNT_LIMIT}, got {bounded_repr(number)}")
     return number
 
 
@@ -119,7 +121,7 @@ def as_float(value, field: str) -> float:
         else:
             if math.isfinite(number):
                 return number
-    raise ConfigError(f"{field} must be a finite number, got {bounded_repr(value)}")
+    raise InvalidParameterError(f"{field} must be a finite number, got {bounded_repr(value)}")
 
 
 def as_path(value, field: str) -> str:

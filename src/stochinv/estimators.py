@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,6 +42,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidControlVariateError,
     InvalidParameterError,
+    as_count,
 )
 from .perturb import GradientVector, ThetaVector, Utilities, sample_utilities
 
@@ -163,21 +163,11 @@ def _report(theta, contributions, keep) -> EstimatorReport:
     )
 
 
-def _check_integer(value, name: str) -> None:
-    """Raise unless ``value`` is an integer (numpy's too), naming ``name``:
-    numpy's ``spawn`` would draw 2 samples for 2.5 and 1 for True."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-
-
 def _draws(sdef, theta, loss, n_samples: int, rng):
     """Yield ``(child, e, trace, loss value)`` for each of ``n_samples``
     child streams spawned from ``rng``: the utilities drawn from the child,
     the trace they run to, and the loss of the structure."""
-    _check_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise InvalidParameterError("n_samples must be at least 1")
-    for child in np.random.default_rng(rng).spawn(n_samples):
+    for child in np.random.default_rng(rng).spawn(as_count(n_samples, "n_samples", least=1)):
         e = sample_utilities(theta, child)
         x, trace = run_struct(sdef, e)
         yield child, e, trace, _loss_value(loss, x)
@@ -238,15 +228,12 @@ def grad_loo(
     ``per_sample`` rows are per-batch estimates; identical losses within a
     batch give an exactly zero batch estimate.
     """
-    _check_integer(k_samples, "k_samples")
-    if k_samples < 2:
-        raise InvalidParameterError("leave-one-out needs at least 2 samples")
+    k_samples = as_count(k_samples, "k_samples", least=2)
     if space not in ("trace", "utility"):
         raise InvalidParameterError(f"unknown score space {space!r}")
-    _check_integer(n_batches, "n_batches")
-    if n_batches < 1:
-        raise InvalidParameterError("n_batches must be at least 1")
-    losses, scores = _scored_draws(sdef, theta, loss, n_batches * k_samples, space, rng)
+    n_batches = as_count(n_batches, "n_batches", least=1)
+    n = as_count(n_batches * k_samples, "n_batches * k_samples")
+    losses, scores = _scored_draws(sdef, theta, loss, n, space, rng)
     losses = losses.reshape(n_batches, 1, k_samples)
     scores = scores.reshape(n_batches, k_samples, -1)
     centered = losses - losses.mean(axis=2, keepdims=True)

@@ -40,11 +40,13 @@ from .errors import (
     InvalidArgumentError,
     InvalidParameterError,
     InvalidTraceError,
+    as_int,
 )
 from .estimators import _loss_value
 from .perturb import GradientVector, ThetaVector
 
 DEFAULT_MAX_TRACES = 10**6
+KS_MIN_SAMPLES = 100  # the fewest draws ks_exponential tests
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +92,7 @@ def enumerate_distribution(
     exponentiated once per leaf.  Raises InstanceTooLargeError as soon as
     the number of complete traces would exceed ``max_traces``.
     """
+    max_traces = as_int(max_traces, "max_traces", least=0)
     entries = []
     marginals = {}
     values = {}  # one object per distinct structure, keyed by its encoding
@@ -194,6 +197,8 @@ class TraceTable:
         if values.shape != (self.n_traces,):
             raise InvalidArgumentError(
                 f"per_trace_values has shape {values.shape}, expected ({self.n_traces},)")
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError("per_trace_values must be finite")
         return float(np.exp(self.log_probs(theta)) @ values)
 
 
@@ -247,12 +252,12 @@ def ks_exponential(samples, rate: float):
     if rate <= 0 or not math.isfinite(rate):
         raise InvalidParameterError(f"rate must be positive, got {rate}")
     samples = np.asarray(samples, dtype=np.float64)
-    if samples.size < 100:
+    if samples.size < KS_MIN_SAMPLES:
         raise InvalidArgumentError(
-            f"need at least 100 samples, got {samples.size}"
+            f"need at least {KS_MIN_SAMPLES} samples, got {samples.size}"
         )
-    if np.any(samples < -1e-12):
-        raise InvalidArgumentError("samples must be nonnegative")
+    if not np.all((samples >= -1e-12) & (samples < np.inf)):
+        raise InvalidArgumentError("samples must be finite and nonnegative")
     from scipy import stats  # here, not at module top: only these helpers need it
 
     result = stats.kstest(samples, "expon", args=(0.0, 1.0 / rate))

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidParameterError
+from .errors import InvalidArgumentError, InvalidParameterError, as_count
 
 
 def unit_exponential(rng: np.random.Generator, size=None):
@@ -127,6 +127,7 @@ def sample_utilities(theta: ThetaVector, rng) -> Utilities:
 def sample_utilities_matrix(theta: ThetaVector, n_samples: int, rng) -> np.ndarray:
     """``n_samples`` rows of ``sample_utilities`` as an (n_samples, n_keys)
     array.  An unmasked draw that overflows raises, naming its key."""
+    n_samples = as_count(n_samples, "n_samples")
     values = unit_exponential(np.random.default_rng(rng), (n_samples, len(theta.keys)))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.exp(theta.theta)

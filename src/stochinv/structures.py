@@ -83,15 +83,15 @@ class TopK(_SetValued):
     kind = "top_k"
 
     def __init__(self, d: int, k: int):
-        if not 1 <= k <= d:
-            raise InvalidParameterError(f"need 1 <= k <= d, got k={k}, d={d}")
-        self.d = d
-        self.k = k
-        self.key_labels = tuple(range(d))
+        self.d, self.k = as_count(d, "d", least=1), as_count(k, "k", least=1)
+        if self.k > self.d:
+            raise InvalidParameterError(f"need k <= d, got k={self.k}, d={self.d}")
+        self.key_labels = tuple(range(self.d))
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_count(spec["d"], "structure.d"), as_count(spec["k"], "structure.k"))
+        return cls(as_count(spec["d"], "structure.d", least=1),
+                   as_count(spec["k"], "structure.k", least=1))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -117,14 +117,12 @@ class Argsort(StructureDefinition):
     kind = "argsort"
 
     def __init__(self, d: int):
-        if d < 1:
-            raise InvalidParameterError(f"need d >= 1, got {d}")
-        self.d = d
-        self.key_labels = tuple(range(d))
+        self.d = as_count(d, "d", least=1)
+        self.key_labels = tuple(range(self.d))
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_count(spec["d"], "structure.d"))
+        return cls(as_count(spec["d"], "structure.d", least=1))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -152,14 +150,12 @@ class Matching(_SetValued):
     kind = "matching"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise InvalidParameterError(f"need n >= 1, got {n}")
-        self.n = n
-        self.key_labels = tuple((r, c) for r in range(n) for c in range(n))
+        self.n = as_count(n, "n", least=1)
+        self.key_labels = tuple((r, c) for r in range(self.n) for c in range(self.n))
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_count(spec["n"], "structure.n"))
+        return cls(as_count(spec["n"], "structure.n", least=1))
 
     def split(self, K, R):
         return [tuple(sorted(K))]
@@ -192,14 +188,12 @@ class BinaryTree(StructureDefinition):
     kind = "binary_tree"
 
     def __init__(self, n: int):
-        if n < 1:
-            raise InvalidParameterError(f"need n >= 1, got {n}")
-        self.n = n
-        self.key_labels = tuple(range(n))
+        self.n = as_count(n, "n", least=1)
+        self.key_labels = tuple(range(self.n))
 
     @classmethod
     def from_config(cls, spec):
-        return cls(as_count(spec["n"], "structure.n"))
+        return cls(as_count(spec["n"], "structure.n", least=1))
 
     def initial_aux(self):
         return ((0, self.n - 1),)

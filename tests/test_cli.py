@@ -1453,7 +1453,7 @@ class TestConfigHandling:
                      {"structure": {"kind": "arborescence", "graph": "GRAPH", "root": 7}},
                      K3_DIRECTED, "root 7 is not a vertex", id="config_root_not_a_vertex"),
         *[pytest.param("enumerate", {"structure": {"kind": kind, field: 0}}, None,
-                       f"need {field} >= 1, got 0", id=f"{kind}_{field}_0")
+                       f"structure.{field} must be at least 1, got 0", id=f"{kind}_{field}_0")
           for kind, field in [("argsort", "d"), ("matching", "n"), ("binary_tree", "n")]],
     ])
     def test_input_fault_is_exit_2_naming_it(self, tmp_path, capsys, command, config, graph,

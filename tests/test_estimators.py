@@ -26,6 +26,7 @@ from stochinv import (
     utility_score,
     zero_control_variate,
 )
+from stochinv.errors import COUNT_LIMIT, bounded_repr
 from conftest import complete_graph, seeded_theta
 
 
@@ -152,6 +153,30 @@ class TestArgumentChecks:
         sdef = TopK(3, 1)
         with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer, got "):
             estimate(sdef, ThetaVector.constant(sdef.key_labels), count)
+
+    @pytest.mark.parametrize(
+        "estimate, name",
+        [(lambda sdef, theta: grad_e_reinforce(sdef, theta, len, 2**40, 0), "n_samples"),
+         (lambda sdef, theta: grad_t_reinforce(sdef, theta, len, 2**40, 0), "n_samples"),
+         (lambda sdef, theta: grad_relax(sdef, theta, len, zero_control_variate(), 0,
+                                         n_samples=2**40), "n_samples"),
+         (lambda sdef, theta: grad_loo(sdef, theta, len, 2**16, "trace", 0, n_batches=2**16),
+          r"n_batches \* k_samples")],
+        ids=["e_reinforce", "t_reinforce", "relax", "loo_product"],
+    )
+    def test_count_above_the_limit_raises(self, estimate, name):
+        # numpy's spawn raised OverflowError: value too large to convert to int.
+        sdef = TopK(3, 1)
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be at most {COUNT_LIMIT},"):
+            estimate(sdef, ThetaVector.constant(sdef.key_labels))
+
+    def test_long_count_is_shown_bounded(self):
+        # The message repeated all 300 characters of the argument.
+        sdef = TopK(3, 1)
+        with pytest.raises(InvalidParameterError) as info:
+            grad_e_reinforce(sdef, ThetaVector.constant(sdef.key_labels), len, "x" * 300, 0)
+        assert str(info.value) == f"n_samples must be an integer, got {bounded_repr('x' * 300)}"
+        assert len(str(info.value)) < 120
 
     def test_numpy_integer_counts_draw_as_ints_do(self):
         sdef = TopK(3, 1)

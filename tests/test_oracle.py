@@ -32,7 +32,7 @@ from stochinv import (
     trace_log_prob,
     trace_score,
 )
-from stochinv.oracle import EnumeratedDistribution, TraceEntry
+from stochinv.oracle import KS_MIN_SAMPLES, EnumeratedDistribution, TraceEntry
 from conftest import (
     complete_digraph,
     complete_graph,
@@ -123,6 +123,17 @@ class TestEnumeration:
             enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels), max_traces=10)
         assert err.value.cap == 10
         assert err.value.reached == 11
+
+    @pytest.mark.parametrize("cap, message", [
+        (True, "must be an integer, got True"), (2.5, "must be an integer, got 2.5"),
+        (-1, "must be at least 0, got -1"),
+    ], ids=["bool", "float", "negative"])
+    def test_bad_cap_raises_naming_it(self, cap, message):
+        # True capped at one trace, 2.5 was taken and -1 raised
+        # InstanceTooLargeError with "the cap of -1 traces".
+        sdef = TopK(3, 1)
+        with pytest.raises(InvalidParameterError, match=f"^max_traces {message}$"):
+            enumerate_distribution(sdef, ThetaVector.constant(sdef.key_labels), max_traces=cap)
 
     def test_kruskal_triangle_probabilities(self):
         sdef = SpanningTree(range(3), complete_graph(3))
@@ -235,6 +246,15 @@ class TestTraceTable:
         with pytest.raises(InvalidArgumentError) as info:
             table.expected(theta, values)
         assert str(info.value) == f"per_trace_values has shape {shape}, expected (3,)"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_expected_of_non_finite_values_raises(self, bad):
+        # The expectation came back as nan or +-inf.
+        sdef = TopK(3, 1)
+        theta = ThetaVector.constant(sdef.key_labels)
+        table = TraceTable(enumerate_distribution(sdef, theta))
+        with pytest.raises(InvalidArgumentError, match="per_trace_values must be finite"):
+            table.expected(theta, [1.0, bad, 0.0])
 
     def test_one_member_row_per_distinct_partition(self):
         for name, sdef in representative_instances():
@@ -533,3 +553,19 @@ class TestKSExponential:
             ks_exponential(good[:50], 1.0)
         with pytest.raises(InvalidArgumentError):
             ks_exponential(good - 5.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_raise(self, bad):
+        # All-NaN samples returned (nan, nan); NaN passed the sign check.
+        good = np.random.default_rng(13).exponential(size=200)
+        with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+            ks_exponential([bad] * 100, 1.0)
+        with pytest.raises(InvalidArgumentError, match="finite and nonnegative"):
+            ks_exponential(np.append(good, bad), 1.0)
+
+    def test_minimum_is_named_once(self):
+        rng = np.random.default_rng(14)
+        assert KS_MIN_SAMPLES == 100
+        ks_exponential(rng.exponential(size=KS_MIN_SAMPLES), 1.0)
+        with pytest.raises(InvalidArgumentError, match=f"at least {KS_MIN_SAMPLES} samples"):
+            ks_exponential(rng.exponential(size=KS_MIN_SAMPLES - 1), 1.0)

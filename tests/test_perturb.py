@@ -127,6 +127,16 @@ class TestSampling:
         eps = unit_exponential(rng, 10**5)
         assert np.all(eps >= 0) and np.all(np.isfinite(eps))
 
+    @pytest.mark.parametrize("count, message", [
+        (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+        (-1, "must be at least 0, got -1"), (10**30, "must be at most 1000000000"),
+    ], ids=["float", "bool", "negative", "huge"])
+    def test_matrix_count_follows_the_count_rule(self, count, message):
+        # 2.5 and True raised a bare TypeError, -1 numpy's ValueError.
+        theta = ThetaVector.constant((0, 1))
+        with pytest.raises(InvalidParameterError, match=f"^n_samples {message}"):
+            sample_utilities_matrix(theta, count, 0)
+
     def test_matrix_matches_columns(self, rng):
         theta = ThetaVector(tuple(range(3)), [0.5, -0.5, 0.0], [False, False, True])
         values = sample_utilities_matrix(theta, 100, rng)

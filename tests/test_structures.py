@@ -228,6 +228,30 @@ class TestBinaryTree:
             assert x == recursive_tree(e.values, 0, 5)
 
 
+class TestCounts:
+    """Every count argument passes the config's count rule, naming itself."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TopK(2.5, 1), "d must be an integer, got 2.5"),
+        (lambda: TopK(3, True), "k must be an integer, got True"),
+        (lambda: TopK(3, 0), "k must be at least 1, got 0"),
+        (lambda: Argsort(True), "d must be an integer, got True"),
+        (lambda: BinaryTree("x"), "n must be an integer, got 'x'"),
+        (lambda: Matching(10**30), f"n must be at most 1000000000, got {10**30}"),
+    ], ids=["top_k_float_d", "top_k_bool_k", "top_k_zero_k", "argsort_bool", "binary_tree_text",
+            "matching_huge"])
+    def test_bad_count_raises_naming_it(self, build, message):
+        # A float or text raised a bare TypeError, a bool built a one-key
+        # structure and a huge Matching began building n**2 labels.
+        with pytest.raises(InvalidParameterError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_integral_float_and_integer_string_are_counts(self):
+        assert Argsort(3.0).key_labels == Argsort(3).key_labels == (0, 1, 2)
+        assert BinaryTree("3").n == 3 and type(Argsort(3.0).d) is int
+
+
 class TestSpanningTree:
     def test_triangle_uniform(self):
         sdef = SpanningTree(range(3), complete_graph(3))
