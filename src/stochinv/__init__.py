@@ -45,7 +45,6 @@ from .oracle import (
     DEFAULT_MAX_TRACES,
     EnumeratedDistribution,
     TraceTable,
-    chi_square_fit,
     enumerate_distribution,
     exact_gradient,
     ks_exponential,

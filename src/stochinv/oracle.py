@@ -7,9 +7,9 @@ categorical probability the rates imply.  The search is ``core._leaves``,
 which scores each branch by ``core``'s own rules and splits and maps each
 distinct state once however many traces pass through it; each leaf's
 frames fold with ``core``'s fold.  Everything downstream (exact expected
-losses, exact gradients, goodness-of-fit tests) reduces to sums over the
-enumerated support; ``exact_gradient`` runs the same search again in step
-with the entries, which checks them and lends ``trace_score`` their walks.
+losses, exact gradients) reduces to sums over the enumerated support;
+``exact_gradient`` runs the same search again in step with the entries,
+which checks them and lends ``trace_score`` their walks.
 
 Traces far outnumber the distinct objects they are made of (Matching(5) has
 14400 traces but 120 structures), so one enumeration shares immutable
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidParameterError,
     InvalidTraceError,
+    as_float,
     as_int,
 )
 from .estimators import _loss_value
@@ -72,6 +73,7 @@ class EnumeratedDistribution:
     key_labels: tuple
     entries: tuple
     structure_marginals: dict
+    mask: tuple  # theta's mask as bools: the support depends on it
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -105,7 +107,8 @@ def enumerate_distribution(
         prob = math.exp(logp)
         entries.append(TraceEntry(Trace(levels), logp, prob, value, tuple(events)))
         marginals[encoded] = marginals.get(encoded, 0.0) + prob
-    return EnumeratedDistribution(sdef.key_labels, tuple(entries), marginals)
+    return EnumeratedDistribution(sdef.key_labels, tuple(entries), marginals,
+                                  tuple(theta.mask.tolist()))
 
 
 def exact_gradient(
@@ -152,13 +155,13 @@ class TraceTable:
     partition's logsumexp runs once per new parameter vector.  Used to
     track exact expected losses during optimization without re-enumerating.
 
-    A theta must have the enumeration's keys, and is reweighted under the
-    mask the enumeration used: the table cannot tell that a theta masking
+    A theta must have the enumeration's keys and mask: a theta masking
     another key has another support.
     """
 
     def __init__(self, dist: EnumeratedDistribution):
         self.key_labels = dist.key_labels
+        self.mask = dist.mask
         n_keys = len(dist.key_labels)
         self.n_traces = len(dist.entries)
         rows = {}
@@ -183,6 +186,11 @@ class TraceTable:
         on K5 spanning trees at five seeded thetas), not bit for bit."""
         if theta.keys != self.key_labels:
             raise InvalidArgumentError("theta keys do not match the enumeration")
+        mask = tuple(theta.mask.tolist())
+        if mask != self.mask:
+            key = next(k for k, m, e in zip(theta.keys, mask, self.mask) if m != e)
+            raise InvalidArgumentError(
+                f"key {key!r} is masked in only one of theta and the enumeration")
         a = -theta.theta
         scored = np.where(self.members, a[None, :], -np.inf)
         shift = scored.max(axis=1, initial=-np.inf)  # a keyless row scores 0
@@ -202,54 +210,13 @@ class TraceTable:
         return float(np.exp(self.log_probs(theta)) @ values)
 
 
-def chi_square_fit(observed_counts: Mapping, dist: EnumeratedDistribution):
-    """Pearson chi-square of trace counts against the enumerated law.
-
-    Cells with expected count below 5 are pooled together (and, if the
-    pool itself stays below 5, merged into the smallest remaining cell).
-    Returns (statistic, p_value).
-    """
-    support = {entry.trace for entry in dist.entries}
-    unknown = [t for t in observed_counts if t not in support]
-    if unknown:
-        raise InvalidArgumentError(
-            f"{len(unknown)} observed traces are outside the enumerated support"
-        )
-    n = sum(observed_counts.values())
-    if n <= 0:
-        raise InvalidArgumentError("no observations")
-    cells = []
-    pooled_obs, pooled_exp = 0.0, 0.0
-    for entry in dist.entries:
-        obs = observed_counts.get(entry.trace, 0)
-        exp = entry.prob * n
-        if exp < 5.0:
-            pooled_obs += obs
-            pooled_exp += exp
-        else:
-            cells.append([float(obs), exp])
-    if pooled_exp > 0.0:
-        if pooled_exp < 5.0 and cells:
-            smallest = min(cells, key=lambda c: c[1])
-            smallest[0] += pooled_obs
-            smallest[1] += pooled_exp
-        else:
-            cells.append([pooled_obs, pooled_exp])
-    dof = len(cells) - 1
-    if dof < 1:
-        return 0.0, 1.0
-    statistic = math.fsum((o - e) ** 2 / e for o, e in cells)
-    from scipy import stats  # here, not at module top: only these helpers need it
-
-    return statistic, float(stats.chi2.sf(statistic, dof))
-
-
 def ks_exponential(samples, rate: float):
     """One-sample Kolmogorov-Smirnov test against Exp(rate).
 
     Returns (statistic, p_value) with the asymptotic p-value.
     """
-    if rate <= 0 or not math.isfinite(rate):
+    rate = as_float(rate, "rate")
+    if rate <= 0:
         raise InvalidParameterError(f"rate must be positive, got {rate}")
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < KS_MIN_SAMPLES:
@@ -258,7 +225,7 @@ def ks_exponential(samples, rate: float):
         )
     if not np.all((samples >= -1e-12) & (samples < np.inf)):
         raise InvalidArgumentError("samples must be finite and nonnegative")
-    from scipy import stats  # here, not at module top: only these helpers need it
+    from scipy import stats  # here, not at module top: only this test needs it
 
     result = stats.kstest(samples, "expon", args=(0.0, 1.0 / rate))
     return float(result.statistic), float(result.pvalue)

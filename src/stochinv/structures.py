@@ -299,6 +299,13 @@ def parse_graph_file(path: str):
     root = None
     edges = []
     seen = set()
+
+    def integer(field, message):
+        try:
+            return int(field)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {message}")
+
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -313,10 +320,7 @@ def parse_graph_file(path: str):
                     f"{path}:{lineno}: expected header 'graph <directed|undirected> <num_vertices>'"
                 )
             directed = fields[1] == "directed"
-            try:
-                n_vertices = int(fields[2])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: vertex count is not an integer")
+            n_vertices = integer(fields[2], "vertex count is not an integer")
             if n_vertices < 1:
                 raise ConfigError(f"{path}:{lineno}: need at least one vertex")
             continue
@@ -327,19 +331,13 @@ def parse_graph_file(path: str):
                 raise ConfigError(f"{path}:{lineno}: second root line")
             if len(fields) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'root <r>'")
-            try:
-                root = int(fields[1])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: root is not an integer")
+            root = integer(fields[1], "root is not an integer")
             if not 0 <= root < n_vertices:
                 raise ConfigError(f"{path}:{lineno}: root {bounded_repr(root)} out of range")
             continue
         if len(fields) != 2:
             raise ConfigError(f"{path}:{lineno}: expected 'u v'")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: edge endpoints are not integers")
+        u, v = (integer(field, "edge endpoints are not integers") for field in fields)
         try:
             _add_edge(seen, u, v, range(n_vertices), directed)
         except InvalidParameterError as exc:

@@ -22,7 +22,6 @@ from stochinv import (
     SpanningTree,
     ThetaVector,
     TopK,
-    chi_square_fit,
     cond_sample,
     enumerate_distribution,
     exact_gradient,
@@ -41,6 +40,7 @@ from stochinv import (
 )
 from stochinv.cli import main as cli_main
 from conftest import (
+    chi_square_fit,
     complete_digraph,
     complete_graph,
     seeded_theta,

@@ -18,7 +18,7 @@ import stochinv
 from stochinv import cli, estimators, oracle
 from stochinv.cli import _build_parser, main
 from stochinv.structures import parse_graph_file
-from conftest import complete_digraph
+from conftest import chi_square_fit, complete_digraph
 
 
 COMMAND_NAMES = ["enumerate", "sample", "variance", "fit", "condcheck"]
@@ -435,7 +435,7 @@ class TestSampleCommand:
         assert outs[30][:header + 7] == outs[7]
 
     def test_sampling_agrees_with_enumeration_chisquare(self, tmp_path):
-        from stochinv import TopK, ThetaVector, chi_square_fit, enumerate_distribution, Trace
+        from stochinv import TopK, ThetaVector, enumerate_distribution, Trace
 
         cfg = write_config(
             tmp_path, structure={"kind": "top_k", "d": 3, "k": 2}, seed=5
@@ -1528,8 +1528,8 @@ def test_readme_lists_every_command():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the goodness-of-fit helpers
-    # (condcheck) use it, so they load it on first call.
+    # scipy.stats is slow to import and only ks_exponential (condcheck)
+    # uses it, so it loads it on first call.
     src = str(Path(stochinv.__file__).resolve().parent.parent)
     code = "import sys, stochinv.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(

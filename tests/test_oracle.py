@@ -21,7 +21,6 @@ from stochinv import (
     TopK,
     Trace,
     TraceTable,
-    chi_square_fit,
     enumerate_distribution,
     exact_gradient,
     grad_t_reinforce,
@@ -34,6 +33,7 @@ from stochinv import (
 )
 from stochinv.oracle import KS_MIN_SAMPLES, EnumeratedDistribution, TraceEntry
 from conftest import (
+    chi_square_fit,
     complete_digraph,
     complete_graph,
     representative_instances,
@@ -309,16 +309,19 @@ class TestTraceTable:
         with pytest.raises(InvalidArgumentError, match="theta keys"):
             table.expected(other, np.ones(table.n_traces))
 
-    def test_theta_masking_another_key_is_reweighted_under_the_enumeration_mask(self):
-        # The table's events are the enumeration's: it cannot see that a
-        # theta masking key 0 has another support, and scores the unmasked law.
+    def test_theta_masking_another_key_raises(self):
+        # A theta masking key 0 has a support of one trace, yet the table
+        # scored the enumeration's three traces under the unmasked law.
         sdef = TopK(3, 1)
         theta = seeded_theta(sdef, 13)
-        dist = enumerate_distribution(sdef, theta)
         masked = ThetaVector(sdef.key_labels, theta.theta, [True, False, False])
-        lps = TraceTable(dist).log_probs(masked)
-        assert np.array_equal(lps, TraceTable(dist).log_probs(theta))
-        assert math.fsum(np.exp(lps)) == pytest.approx(1.0)
+        for enumerated, other in [(theta, masked), (masked, theta)]:
+            table = TraceTable(enumerate_distribution(sdef, enumerated))
+            message = "key 0 is masked in only one of theta and the enumeration"
+            with pytest.raises(InvalidArgumentError, match=message):
+                table.log_probs(other)
+            with pytest.raises(InvalidArgumentError, match=message):
+                table.expected(other, np.ones(table.n_traces))
 
 
 class TestExactGradient:
@@ -415,7 +418,7 @@ class TestExactGradient:
         )
         bogus = TraceEntry(Trace(levels), first.log_prob, first.prob, first.structure, ())
         tampered = EnumeratedDistribution(
-            dist.key_labels, (first, bogus), dist.structure_marginals
+            dist.key_labels, (first, bogus), dist.structure_marginals, dist.mask
         )
         with pytest.raises(InvalidTraceError):
             exact_gradient(tampered, sdef, theta, lambda x: 1.0)
@@ -441,7 +444,8 @@ class TestExactGradient:
             mask[1] = True
             masked = ThetaVector(sdef.key_labels, theta.theta, mask)
             entries = enumerate_distribution(sdef, masked).entries
-        other = EnumeratedDistribution(dist.key_labels, entries, dist.structure_marginals)
+        other = EnumeratedDistribution(dist.key_labels, entries, dist.structure_marginals,
+                                       dist.mask)
         with pytest.raises(InvalidTraceError):
             exact_gradient(other, sdef, theta, lambda x: 1.0)
 
@@ -553,6 +557,13 @@ class TestKSExponential:
             ks_exponential(good[:50], 1.0)
         with pytest.raises(InvalidArgumentError):
             ks_exponential(good - 5.0, 1.0)
+
+    @pytest.mark.parametrize("rate", ["x", None, True])
+    def test_rate_follows_the_input_rule(self, rate):
+        # A string or None raised a bare TypeError, and True ran as rate 1.
+        good = np.random.default_rng(15).exponential(size=200)
+        with pytest.raises(InvalidParameterError, match="rate must be a finite number"):
+            ks_exponential(good, rate)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_raise(self, bad):
